@@ -12,8 +12,10 @@ Every round runs on a fresh session and an empty artifact store:
   order, with its eight recorded (property, method) queries.  Every
   verdict must equal the recorded one.
 
-The round time is ``verify_s``; each ``Design.verify`` call is one latency
-sample.  The store only takes writes (and misses) here.
+The round's wall time is ``verify_s``; each ``Design.verify`` call is one
+latency sample.  The gated metrics are the normalised CPU times of the same
+round and calls (see ``harness``).  The store only takes writes (and
+misses) here.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import shutil
 import time
 from typing import Dict, List
 
-from harness import CORPUS, Tally, median, percentile, run_dir
+from harness import (
+    CORPUS, Speed, Tally, cpu_now, median, normalised_metrics, percentile, run_dir,
+)
 
 WIDTHS = (6, 7, 8, 9)
 #: exploration bound covering the 2^9 reachable states of the widest stage
@@ -64,6 +68,11 @@ class ColdSweep:
         self.tally = Tally()
         self.latencies: List[float] = []
         self.rounds: List[float] = []
+        #: CPU stretches (``harness.Stretch``) of every verify call and round
+        self.cpu_latencies: list = []
+        self.cpu_rounds: list = []
+        self.round_verdicts: List[int] = []
+        self.speed = Speed()
         self.verdicts = 0
         self.stage_counters: List[Dict[str, int]] = []
         self.directory = run_dir(self.name)
@@ -102,25 +111,32 @@ class ColdSweep:
         shutil.rmtree(root, ignore_errors=True)
         store = ArtifactStore(root)
         latencies: List[float] = []
+        cpu_latencies = []
         answers = []  # (holds, expected, label)
         options = self.corpus.options()
         sessions = []
+        speed = self.speed
+        sampled = speed.wall_spent
         if tracer is not None:
             tracer.active = True
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), cpu_now()
         pipeline = Design(name=f"pipeline_{len(stages)}", components=stages)
         pipeline.context.artifact_cache = store
         sessions.append(pipeline)
         for prop, method in PIPELINE_QUERIES:
             for position in range(len(stages)):
-                begun = time.perf_counter()
+                speed.tick()
+                begun, cpu_begun = time.perf_counter(), cpu_now()
                 verdict = pipeline.component_design(position).verify(
                     prop, method, max_states=MAX_STATES
                 )
+                cpu_latencies.append((cpu_begun, cpu_now(), 0.0))
                 latencies.append(time.perf_counter() - begun)
                 answers.append((verdict.holds, True, f"stage{position} {prop}/{method}"))
-        begun = time.perf_counter()
+        speed.tick()
+        begun, cpu_begun = time.perf_counter(), cpu_now()
         verdict = pipeline.verify("weakly-hierarchic")
+        cpu_latencies.append((cpu_begun, cpu_now(), 0.0))
         latencies.append(time.perf_counter() - begun)
         answers.append((verdict.holds, True, "pipeline weakly-hierarchic"))
         for entry, generated in designs:
@@ -129,13 +145,16 @@ class ColdSweep:
             sessions.append(design)
             for key in entry.verdicts:
                 prop, method = key.split("|", 1)
-                begun = time.perf_counter()
+                speed.tick()
+                begun, cpu_begun = time.perf_counter(), cpu_now()
                 verdict = design.verify(prop, method, **options)
+                cpu_latencies.append((cpu_begun, cpu_now(), 0.0))
                 latencies.append(time.perf_counter() - begun)
                 answers.append(
                     (verdict.holds, entry.holds(prop, method), f"{entry.name} {key}")
                 )
-        wall = time.perf_counter() - started
+        cpu = (cpu_started, cpu_now(), 0.0)
+        wall = time.perf_counter() - started - (speed.wall_spent - sampled)
         if tracer is not None:
             tracer.active = False
         if record:
@@ -145,7 +164,10 @@ class ColdSweep:
                     f"{label}: holds={bool(holds)}, expected {bool(expected)}",
                 )
             self.latencies.extend(latencies)
+            self.cpu_latencies.extend(cpu_latencies)
             self.rounds.append(wall)
+            self.cpu_rounds.append([cpu])
+            self.round_verdicts.append(len(answers))
             self.verdicts += len(answers)
             self.stage_counters = [session.stats()["stages"] for session in sessions]
         shutil.rmtree(root, ignore_errors=True)
@@ -153,17 +175,18 @@ class ColdSweep:
 
     # -- results ----------------------------------------------------------------
     def end_to_end(self) -> Dict[str, float]:
-        return {
-            "round_s": median(self.rounds),
-            "latency_p50_ms": median(self.latencies) * 1000.0,
-            "latency_p90_ms": percentile(self.latencies, 90) * 1000.0,
-            "throughput_per_s": self.verdicts / len(self.rounds) / median(self.rounds),
-        }
+        return normalised_metrics(
+            self.speed, self.cpu_rounds, self.cpu_latencies,
+            list(zip(self.round_verdicts, self.cpu_rounds)),
+        )
 
     def report(self) -> Dict[str, object]:
         """The workload's own metrics, under the names the design notes use."""
         return {
             "verify_s": (median(self.rounds), "s"),
+            "verify_p50_ms": (median(self.latencies) * 1000.0, "ms"),
+            "verify_p90_ms": (percentile(self.latencies, 90) * 1000.0, "ms"),
+            "verdicts_per_s": (self.verdicts / len(self.rounds) / median(self.rounds), "1/s"),
             "rounds": (len(self.rounds), "count"),
             "verdicts_per_round": (self.verdicts // max(len(self.rounds), 1), "count"),
             "widths": (self.widths, "bits"),

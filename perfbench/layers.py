@@ -46,6 +46,19 @@ SELF_TIME_METRICS: Dict[str, str] = {
 }
 
 
+def _boundary(owner, attribute: str):
+    """``owner``'s own ``attribute``, which a layer boundary wraps.
+
+    A boundary the program no longer has is an error: skipping it would
+    move its layer's time into the enclosing span, and no run would show."""
+    try:
+        return owner.__dict__[attribute]
+    except KeyError:
+        raise AttributeError(
+            f"layer boundary {owner.__name__}.{attribute} is gone; update perfbench/layers.py"
+        ) from None
+
+
 class LayerTracer:
     """Span stack plus per-layer self time, call counts and hook data."""
 
@@ -123,13 +136,8 @@ class LayerTracer:
 
     # -- patching ------------------------------------------------------------------
     def patch(self, owner, attribute: str, layer: str, after: Optional[Callable] = None):
-        """Wrap ``owner.attribute`` in a span of ``layer``.
-
-        A boundary the program no longer has is skipped: its time then
-        lands in the enclosing span, or in ``unattributed_ms``."""
-        original = owner.__dict__.get(attribute)
-        if original is None:
-            return
+        """Wrap ``owner.attribute`` in a span of ``layer``."""
+        original = _boundary(owner, attribute)
         if isinstance(original, classmethod):
             replacement = classmethod(self.span(layer, original.__func__, after))
         elif isinstance(original, property):
@@ -141,9 +149,7 @@ class LayerTracer:
 
     def patch_sift(self, owner) -> None:
         """Time ``sift`` and record the manager size before and after it."""
-        original = owner.__dict__.get("sift")
-        if original is None:
-            return
+        original = _boundary(owner, "sift")
         tracer = self
 
         @functools.wraps(original)
@@ -201,10 +207,11 @@ class LayerTracer:
             "mc.explore",
             after=lambda result, args, kwargs, seconds: self.checkers.append(args[0]),
         )
-        for checker in (symbolic.SymbolicChecker, symbolic.SymbolicProductChecker):
-            for name in ("__init__", "reachable_states", "check_invariant",
-                         "check_reaction_invariant", "is_non_blocking"):
-                self.patch(checker, name, "mc.explore")
+        for name in ("__init__", "reachable_states", "check_invariant",
+                     "check_reaction_invariant"):
+            self.patch(symbolic.SymbolicChecker, name, "mc.explore")
+        for name in ("__init__", "reachable_states", "is_non_blocking"):
+            self.patch(symbolic.SymbolicProductChecker, name, "mc.explore")
         self.patch_sift(bdd.BDDManager)
         for manager in (bdd.BDDManager, array_backend.ArrayBackend):
             self.patch(manager, "reorder", "bdd.sift")

@@ -6,19 +6,25 @@ Usage (from the repository root)::
     python3 perfbench/run.py --workload all --seed 1 --seconds 25
 
 One run sets its workload up several times (``harness.repeat_setup``;
-``setup_s`` is the median), runs one unrecorded warm-up round, then
-repeats rounds for ``--seconds`` and checks every answer.  The last line of
-standard output is one JSON object: ``correct``, ``attempted``, ``failed``
-and ``metrics`` — the :data:`END_TO_END` metrics with ``--trace 0``, the
-:data:`PER_LAYER` metrics with ``--trace 1``.  The lines before it name
-the machine and the workload's own metrics.  A copy of the result, with the
-machine fingerprint, is written to ``.perfbench-out/``.
+``setup_s`` is the median normalised CPU time), runs one unrecorded warm-up
+round, then repeats rounds for ``--seconds`` and checks every answer.  The
+last line of standard output is one JSON object: ``correct``,
+``attempted``, ``failed`` and ``metrics`` — the ``end_to_end`` metrics of
+``BENCHMARK.json`` with ``--trace 0``, its ``per_layer`` metrics with
+``--trace 1``.  The lines before it name the machine and the workload's own
+metrics.  A copy of the result, with the machine fingerprint, is written to
+``.perfbench-out/``.
 
-The end-to-end metrics carry one meaning per workload (see ``WORKLOADS``):
-``latency_*`` is a ``Design.verify`` call on cold_sweep, a warm socket
-round trip on serve_mixed and a ``Design.compile`` call on deploy_fleet;
-``throughput_per_s`` is verdicts, completed queries and scalar reactions
-per second respectively.
+The end-to-end metrics are normalised CPU times (see :mod:`harness`): what
+a round or an operation costs in this process and, on serve_mixed, the
+server, scaled to a host of fixed speed.  They carry one meaning per
+workload: ``op_norm_*`` is a ``Design.verify`` call on cold_sweep, a warm
+query (client and server) on serve_mixed and a ``Design.compile`` call on
+deploy_fleet; ``throughput_norm_per_s`` is verdicts, completed queries and
+scalar reactions per normalised CPU second respectively; ``round_norm_s``
+is a whole round.  The wall-clock figures (``verify_s``, ``warm_p50_ms``,
+``cold_p50_ms``, ``queries_per_s``, ``compile_ms``, ``reactions_per_s``,
+...) and the speed samples are printed on the lines before the result.
 
 The traced run alternates untraced and traced rounds and reports, per
 traced round, the self time of every layer (see :mod:`layers`).  The self
@@ -40,97 +46,37 @@ from typing import Dict, List
 from harness import (
     CORPUS,
     OUTPUT,
+    SPEC,
     SRC,
     fingerprint,
     freeze_inputs,
     measure,
     median,
+    percentile,
     peak_rss_mib,
     repeat_setup,
 )
 
-#: name -> (unit, better, bound): what every ``--trace 0`` run reports.
-#: ``bound`` is the share of the parent's median a metric may worsen by;
-#: set-up time has the largest, so that work moved into set-up shows.
-END_TO_END = {
-    "setup_s": ("s", "lower", 0.25),
-    "round_s": ("s", "lower", 0.24),
-    "latency_p50_ms": ("ms", "lower", 0.24),
-    "latency_p90_ms": ("ms", "lower", 0.24),
-    "throughput_per_s": ("1/s", "higher", 0.24),
-    "peak_rss_mb": ("MiB", "lower", 0.15),
-}
+#: per-layer counters of the served workload, and of deploy_fleet's fleets;
+#: they read 0 on the workloads that have no server or no fleet
+SERVICE_COUNTS = (
+    "scheduler.lru_hit_ratio",
+    "scheduler.store_hit_ratio",
+    "scheduler.computations",
+    "service.transport_ms",
+    "service.retries",
+    "service.errors",
+)
+FLEET_COUNTS = ("codegen.vectorized_ratio", "codegen.fallback_lanes")
 
-#: name -> (unit, better): what every ``--trace 1`` run reports
-PER_LAYER = {
-    "lang.normalize_ms": ("ms", "lower"),
-    "lang.digest_ms": ("ms", "lower"),
-    "clocks.analysis_ms": ("ms", "lower"),
-    "sched.graph_ms": ("ms", "lower"),
-    "properties.criterion_ms": ("ms", "lower"),
-    "properties.check_ms": ("ms", "lower"),
-    "api.verify_ms": ("ms", "lower"),
-    "api.stage_computed": ("count", "lower"),
-    "api.stage_store_hits": ("count", "higher"),
-    "api.reuse_ratio": ("ratio", "higher"),
-    "mc.compile_ms": ("ms", "lower"),
-    "mc.explore_ms": ("ms", "lower"),
-    "mc.states": ("count", "lower"),
-    "mc.relation_nodes": ("count", "lower"),
-    "bdd.sift_ms": ("ms", "lower"),
-    "bdd.sift_calls": ("count", "lower"),
-    "bdd.sift_shrink_ratio": ("ratio", "higher"),
-    "store.get_ms": ("ms", "lower"),
-    "store.gets": ("count", "lower"),
-    "store.put_ms": ("ms", "lower"),
-    "store.puts": ("count", "lower"),
-    "scheduler.query_ms": ("ms", "lower"),
-    "scheduler.self_ms": ("ms", "lower"),
-    "scheduler.lru_hit_ratio": ("ratio", "higher"),
-    "scheduler.store_hit_ratio": ("ratio", "higher"),
-    "scheduler.computations": ("count", "lower"),
-    "service.transport_ms": ("ms", "lower"),
-    "service.retries": ("count", "lower"),
-    "service.errors": ("count", "lower"),
-    "codegen.compile_ms": ("ms", "lower"),
-    "codegen.compile_default_ms": ("ms", "lower"),
-    "codegen.compile_batched_ms": ("ms", "lower"),
-    "codegen.scalar_run_ms": ("ms", "lower"),
-    "codegen.fleet_run_ms": ("ms", "lower"),
-    "codegen.vectorized_ratio": ("ratio", "higher"),
-    "codegen.fallback_lanes": ("count", "lower"),
-    "obs.traced_wall_ms": ("ms", "lower"),
-    "obs.trace_overhead_ratio": ("ratio", "lower"),
-    "unattributed_ms": ("ms", "lower"),
-}
 
-#: why each workload exists, what it loads, and what should not move on it
-#: (the ``why`` lines are the ones in BENCHMARK.json)
-WORKLOADS: Dict[str, Dict[str, object]] = {
-    "cold_sweep": {
-        "why": "Cold verify, sift-heavy: 6-9 bit shift pipeline + 480 corpus queries, "
-               "fresh store per round. Loads lang/clocks/properties/mc/bdd/store writes; "
-               "no move predicted: scheduler, transport, codegen",
-        "loads": ["lang", "clocks", "sched", "properties", "api", "mc", "bdd",
-                  "store (writes, misses)"],
-        "no_move": ["scheduler", "service transport", "codegen"],
-    },
-    "serve_mixed": {
-        "why": "repro.service socket server, LRU below the 480-key set: Zipf corpus reads "
-               "+ fresh network-design edits. Loads transport/scheduler/store reads+writes/mc; "
-               "no move predicted: codegen",
-        "loads": ["service transport", "scheduler", "store (reads and writes)",
-                  "lang", "clocks", "properties", "api", "mc", "bdd"],
-        "no_move": ["codegen"],
-    },
-    "deploy_fleet": {
-        "why": "Design.compile of every (design, runtime) pair, default-runtime scalar runs, "
-               "batched fleets. Loads codegen/api.deploy/clocks; no move predicted: store, "
-               "scheduler, transport, mc, bdd.sift",
-        "loads": ["codegen", "api.deploy", "clocks", "sched", "lang"],
-        "no_move": ["store", "scheduler", "service transport", "mc", "bdd.sift"],
-    },
-}
+def load_spec() -> Dict[str, object]:
+    """The workloads and metrics of ``BENCHMARK.json``, the one place they are kept."""
+    return json.loads(SPEC.read_text())
+
+
+def workload_names() -> List[str]:
+    return [workload["name"] for workload in load_spec()["workloads"]]
 
 
 def _workload(name: str, seed: int):
@@ -191,10 +137,6 @@ def _layer_metrics(tracer, rounds: int, traced_ms: float) -> Dict[str, float]:
     return metrics
 
 
-def _zero_layers() -> Dict[str, float]:
-    return {name: 0.0 for name in PER_LAYER}
-
-
 def traced_in_process(workload, seconds: float) -> Dict[str, float]:
     """cold_sweep / deploy_fleet: alternate untraced and traced rounds."""
     from layers import LayerTracer
@@ -213,9 +155,9 @@ def traced_in_process(workload, seconds: float) -> Dict[str, float]:
 
     traced = measure(seconds, traced_round)
     traced_ms = sum(traced) * 1000.0 / len(traced)
-    metrics = _zero_layers()
-    metrics.update(_layer_metrics(tracer, len(traced), traced_ms))
+    metrics = _layer_metrics(tracer, len(traced), traced_ms)
     metrics.update(_stage_counts(workload.api_stages()))
+    metrics.update(dict.fromkeys(SERVICE_COUNTS + FLEET_COUNTS, 0.0))
     if hasattr(workload, "codegen_counts"):
         metrics.update(workload.codegen_counts())
     metrics["obs.traced_wall_ms"] = traced_ms
@@ -242,9 +184,9 @@ def traced_serve(workload, seconds: float) -> Dict[str, float]:
     traced_ms = transport_ms + replay["traced_ops_s"] * 1000.0
     counters = replay["counters"]
     queries = max(counters["queries"], 1)
-    metrics = _zero_layers()
-    metrics.update(_layer_metrics(tracer, rounds, replay["traced_ops_s"] * 1000.0))
+    metrics = _layer_metrics(tracer, rounds, replay["traced_ops_s"] * 1000.0)
     metrics.update(_stage_counts([counters["stages"]], rounds))
+    metrics.update(dict.fromkeys(FLEET_COUNTS, 0.0))
     metrics.update(
         {
             "scheduler.lru_hit_ratio": counters["cache_hits"] / queries,
@@ -262,8 +204,11 @@ def traced_serve(workload, seconds: float) -> Dict[str, float]:
 
 def run_one(name: str, seed: int, seconds: float, trace: bool) -> int:
     workload = _workload(name, seed)
+    speed_report = {}
     try:
-        product, setup_s = repeat_setup(workload.build, workload.discard)
+        product, setup_s, setup_wall_s = repeat_setup(
+            workload.build, workload.discard, getattr(workload, "server_cpu", lambda _: 0.0)
+        )
         workload.adopt(product)
         workload.warmup()
         freeze_inputs()
@@ -272,27 +217,33 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> int:
         elif trace:
             metrics = traced_in_process(workload, seconds)
         else:
-            measure(seconds, workload.round)
-            metrics = dict(workload.end_to_end())
+            measure(seconds, workload.round, workload.speed)
+            metrics = workload.end_to_end()
+            samples = workload.speed.values
+            speed_report = {
+                "speed_samples": (len(samples), "count"),
+                "reference_p10_ms": (percentile(samples, 10) * 1000.0, "ms"),
+                "reference_p50_ms": (median(samples) * 1000.0, "ms"),
+                "reference_p90_ms": (percentile(samples, 90) * 1000.0, "ms"),
+            }
             metrics["setup_s"] = setup_s
-            rss = peak_rss_mib()
-            if name == "serve_mixed":
-                rss += workload.server_peak_rss_mib()
-            metrics["peak_rss_mb"] = rss
-        report = workload.report()
+            metrics["peak_rss_mb"] = getattr(workload, "peak_rss_mib", peak_rss_mib)()
+        report = dict(workload.report(), **speed_report)
     finally:
         workload.close()
     tally = workload.tally
     report["error_rate"] = (tally.failed / max(tally.attempted, 1), "ratio")
     report["setup_s"] = (setup_s, "s")
-    units = {name: spec[0] for name, spec in {**END_TO_END, **PER_LAYER}.items()}
-    wanted = PER_LAYER if trace else END_TO_END
+    report["setup_wall_s"] = (setup_wall_s, "s")
+    wanted = load_spec()["per_layer" if trace else "end_to_end"]
     result = {
         "correct": tally.failed == 0,
         "attempted": tally.attempted,
         "failed": tally.failed,
         "metrics": {
-            metric: {"value": float(metrics[metric]), "unit": units[metric]}
+            metric["name"]: {
+                "value": float(metrics[metric["name"]]), "unit": metric["unit"]
+            }
             for metric in wanted
         },
     }
@@ -316,7 +267,7 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> int:
 def run_all(seed: int, seconds: float, trace: bool) -> int:
     """Every workload in its own process (so peak RSS stays per workload)."""
     status = 0
-    for name in WORKLOADS:
+    for name in workload_names():
         completed = subprocess.run(
             [sys.executable, __file__, "--workload", name, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", str(int(trace))],
@@ -330,7 +281,7 @@ def run_all(seed: int, seconds: float, trace: bool) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
+    parser.add_argument("--workload", required=True, choices=[*workload_names(), "all"])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)

@@ -6,14 +6,19 @@ working set (so the store-read path runs, not only the cache), waits until
 it answers, and registers the 60 corpus designs by source.
 
 One closed-loop ``ServiceClient`` then sends rounds of requests: a
-seed-shuffled Zipf draw over the 480 corpus (design, property, method)
-keys, plus a few *edits*.  An edit registers a ``design_space`` design of
+seeded Zipf draw over the 480 corpus (design, property, method) keys,
+ranked in one fixed order, plus a few *edits*.  An edit registers a ``design_space`` design of
 the ``network`` family (the only family that yields designs the corpus and
 earlier edits have not; seeds from 1,000,000 on, in order, whatever the
 workload seed) and asks weak endochrony three ways — compiled,
 explicit and static — so cold computation and store writes run beside the
 reads.  Warm answers must equal ``corpus.json``; edit answers must keep the
 differential contract (compiled equals explicit, static implies explicit).
+
+Every request is timed twice: its wall-clock round trip, and the CPU time
+it cost this process and the server together (normalised, it makes the
+gated metrics; the server's is read from ``/proc`` around each request,
+see ``harness.ProcessClock``).
 
 The traced run replays the same rounds through in-process
 ``VerificationService`` instances (one untraced, one traced) to split the
@@ -37,13 +42,25 @@ from harness import (
     CORPUS,
     SRC,
     ROOT,
+    ProcessClock,
+    Speed,
     Tally,
+    cpu_now,
     median,
+    normalised_metrics,
     percentile,
+    peak_rss_mib,
     process_peak_rss_mib,
     run_dir,
 )
 
+#: The traffic mix is an assumption: no query trace of a served design
+#: exists.  The values put each path in every round: with a Zipf(SKEW)
+#: draw over the 480 keys, an LRU of CACHE_SIZE answers about 90% of warm
+#: queries and the store the rest (~100 reads a round), and the edits take
+#: about a third of a round.  Halving the LRU or lowering SKEW to 0.9 moved
+#: the warm latencies less than run-to-run noise; four times the edits
+#: halves the throughput.
 #: verdict LRU of the served process, below the 480-key working set
 CACHE_SIZE = 128
 WARM_PER_ROUND = 1000
@@ -52,10 +69,14 @@ EDITS_PER_ROUND = 4
 #: (the store is fresh per run, so each is still new to it): edit costs are
 #: heavy-tailed, and a per-seed draw would make rounds incomparable
 FIRST_EDIT_SEED = 1_000_000
-#: the server's peak RSS is read after this many rounds (fixed work)
+#: the peak RSS of the server and of this process is read after this many
+#: rounds (fixed work): the requests kept for the traced replay grow with
+#: every round, and a faster host runs more of them
 RSS_ROUNDS = 6
-#: Zipf exponent of the warm key draw
+#: Zipf exponent of the warm key draw (near 1, the classic Zipf law)
 SKEW = 1.1
+#: shuffles the 480 keys into their popularity ranking
+POPULARITY_SEED = 0
 EDIT_PROP = "weak-endochrony"
 EDIT_METHODS = ("compiled", "explicit", "static")
 READY_TIMEOUT = 60.0
@@ -105,9 +126,11 @@ class Server:
             preexec_fn=_die_with_parent,
         )
         self.client = ServiceClient(self.socket, retries=2)
+        self.clock: Optional[ProcessClock] = None
         try:
             self._wait_ready()
             self.digests = [self.client.register(source) for source in sources]
+            self.clock = ProcessClock(self.process.pid)
         except BaseException:
             self.close()
             raise
@@ -155,6 +178,8 @@ class Server:
                         self.process.kill()
                         self.process.wait()
         finally:
+            if self.clock is not None:
+                self.clock.close()
             self.log.close()
             shutil.rmtree(self.directory, ignore_errors=True)
 
@@ -172,11 +197,17 @@ class ServeMixed:
         self.warm: List[float] = []
         self.cold: List[float] = []
         self.rounds: List[float] = []
+        #: CPU stretches (``harness.Stretch``) of every warm query, and of
+        #: every request of each round
+        self.cpu_warm: list = []
+        self.cpu_rounds: list = []
+        self.round_operations: List[int] = []
+        self.speed = Speed()
         self.operations = 0
         self.errors = 0
         self.history: List[list] = []  # every round's requests, for replay
         self.used_digests = set()
-        self.server_rss: Optional[float] = None
+        self.rss: Optional[float] = None
 
     # -- set-up -----------------------------------------------------------------
     def build(self) -> Server:
@@ -203,13 +234,21 @@ class ServeMixed:
             for entry, digest in zip(entries, server.digests)
             for key in sorted(entry.verdicts)
         ]
-        self.rng.shuffle(self.keys)
+        # the popularity ranking is the same for every workload seed, which
+        # draws only the request sequence: which keys are hot changes what a
+        # warm query costs (LRU hit or store read, verdict size)
+        random.Random(POPULARITY_SEED).shuffle(self.keys)
         self.weights = [1.0 / (rank + 1) ** SKEW for rank in range(len(self.keys))]
         self.used_digests = {entry.digest for entry in entries}
         self.edit_seed = FIRST_EDIT_SEED
 
     def discard(self, server: Server) -> None:
         server.close()
+
+    @staticmethod
+    def server_cpu(server: Server) -> float:
+        """CPU seconds the server has run so far: its part of a set-up."""
+        return server.clock.read()
 
     # -- requests ---------------------------------------------------------------
     def _edit(self):
@@ -243,25 +282,31 @@ class ServeMixed:
         self.history.append(requests)
         wall = self._socket_round(requests, record=True)
         if len(self.rounds) == RSS_ROUNDS:
-            self.server_rss = self.server.peak_rss_mib()
+            self.rss = self.peak_rss_mib()
         return wall
 
     def _socket_round(self, requests, record: bool) -> float:
         from repro.service.errors import ServiceError
 
-        client = self.server.client
+        client, clock, speed = self.server.client, self.server.clock, self.speed
+        clock.refresh()
         warm: List[float] = []
         cold: List[float] = []
+        cpu_warm = []
+        cpu_requests = []
         answers = []
         errors = 0
-        started = time.perf_counter()
+        started, sampled = time.perf_counter(), speed.wall_spent
         for request in requests:
+            speed.tick()
+            server_begun, cpu_begun = clock.read(), cpu_now()
             try:
                 if request[0] == "warm":
                     _kind, digest, prop, method, expected = request
                     begun = time.perf_counter()
                     verdict = client.verify(digest, prop=prop, method=method, max_states=256)
                     warm.append(time.perf_counter() - begun)
+                    cpu_warm.append((cpu_begun, cpu_now(), clock.read() - server_begun))
                     answers.append((verdict["holds"] == expected, f"{digest[:12]} {prop}/{method}"))
                 else:
                     _kind, source, expected_digest = request
@@ -280,11 +325,15 @@ class ServeMixed:
             except ServiceError as error:
                 errors += 1
                 answers.append((False, f"{type(error).__name__}: {error}"))
-        wall = time.perf_counter() - started
+            cpu_requests.append((cpu_begun, cpu_now(), clock.read() - server_begun))
+        wall = time.perf_counter() - started - (speed.wall_spent - sampled)
         if record:
             self.rounds.append(wall)
+            self.cpu_rounds.append(cpu_requests)
+            self.cpu_warm.extend(cpu_warm)
             self.warm.extend(warm)
             self.cold.extend(cold)
+            self.round_operations.append(len(warm) + len(cold))
             self.operations += len(warm) + len(cold)
             self.errors += errors
             for ok, problem in answers:
@@ -293,15 +342,14 @@ class ServeMixed:
 
     # -- results ----------------------------------------------------------------
     def end_to_end(self) -> Dict[str, float]:
-        return {
-            "round_s": median(self.rounds),
-            "latency_p50_ms": median(self.warm) * 1000.0,
-            "latency_p90_ms": percentile(self.warm, 90) * 1000.0,
-            "throughput_per_s": self.operations / len(self.rounds) / median(self.rounds),
-        }
+        return normalised_metrics(
+            self.speed, self.cpu_rounds, self.cpu_warm,
+            list(zip(self.round_operations, self.cpu_rounds)),
+        )
 
     def report(self) -> Dict[str, object]:
         return {
+            "round_s": (median(self.rounds), "s"),
             "warm_p50_ms": (median(self.warm) * 1000.0, "ms"),
             "warm_p99_ms": (percentile(self.warm, 99) * 1000.0, "ms"),
             "cold_p50_ms": (median(self.cold) * 1000.0, "ms"),
@@ -312,11 +360,12 @@ class ServeMixed:
             "rounds": (len(self.rounds), "count"),
         }
 
-    def server_peak_rss_mib(self) -> float:
-        """Peak RSS of the server over set-up and the first rounds."""
-        if self.server_rss is None:
-            return self.server.peak_rss_mib()
-        return self.server_rss
+    def peak_rss_mib(self) -> float:
+        """Peak RSS of this process and the server, over set-up and the
+        first RSS_ROUNDS rounds (or all of them, in a shorter run)."""
+        if self.rss is None:
+            return peak_rss_mib() + self.server.peak_rss_mib()
+        return self.rss
 
     # -- traced replay ------------------------------------------------------------
     def replay(self, tracer) -> Dict[str, object]:
