@@ -10,9 +10,10 @@ and logs one entry per measured scenario::
     RECORD.record("pipeline_6 eager", seconds=elapsed, states=lts.state_count())
 
 On interpreter exit the recorder writes ``BENCH_<name>.json`` next to the
-repository root (override the directory with ``BENCH_OUTPUT_DIR``), so every
-benchmark run — local or CI — leaves a comparable artifact and the perf
-trajectory can be tracked across PRs.  The JSON schema is stable::
+repository root (override the directory with ``BENCH_OUTPUT_DIR``, which is
+created with its parents if missing), so every benchmark run — local or CI —
+leaves a comparable artifact and the perf trajectory can be tracked across
+PRs.  The JSON schema is stable::
 
     {
       "bench": "modelcheck",
@@ -93,7 +94,9 @@ class BenchRecorder:
         """Write ``BENCH_<name>.json``; returns the path (None if empty)."""
         if not self.entries:
             return None
-        path = _output_directory() / f"BENCH_{self.name}.json"
+        directory = _output_directory()
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"BENCH_{self.name}.json"
         payload = {
             "bench": self.name,
             "python": platform.python_version(),

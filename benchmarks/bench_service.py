@@ -7,7 +7,7 @@ acceptance scenario:
    analysis + compilation + exploration (and persists everything).
 2. *Warm relation* — a brand-new service process over the same store asked
    a **new** query: the persisted verdicts miss, but the compiled BDD step
-   relation reloads in linear time, skipping compilation and sifting.
+   relation reloads in linear time, skipping compilation.
 3. *Warm verdict* — a brand-new service asked a **repeat** query: one small
    JSON read, no pipeline stage at all.  **The acceptance gate: ≥ 5× faster
    than the cold compile.**

@@ -276,9 +276,9 @@ class AnalysisContext:
         fragment of :mod:`repro.mc.compiled` (the engines then fall back to
         the interpreter-backed enumeration); the negative answer is itself
         persisted so warm starts skip the recompile attempt.  The
-        abstraction owns a private BDD manager — its variable order is
-        seeded from the process's clock hierarchy and may be resifted,
-        which a shared manager cannot allow.
+        abstraction owns a private BDD manager, whose variable order is read
+        statically off the process's own dataflow graph; a shared manager
+        would force one order on every process.
         """
         normalized_process = self.normalized(process)
         return self._compiled_node(normalized_process, hierarchy_from_analysis=True)

@@ -625,8 +625,39 @@ class BDDManager:
         return result
 
     def implies_check(self, antecedent: BDD, consequent: BDD) -> bool:
-        """Decide whether ``antecedent -> consequent`` is a tautology."""
-        return antecedent.implies(consequent).is_true()
+        """Decide whether ``antecedent -> consequent`` is a tautology.
+
+        Searches the node pairs for a counterexample path (antecedent true,
+        consequent false) instead of building the implication: no node is
+        created, a pair already cleared is not searched again, and the first
+        counterexample ends the search.  In a reduced BDD every node other
+        than FALSE reaches TRUE and every node other than TRUE reaches FALSE,
+        which settles a pair as soon as one side is a terminal.
+        """
+        false, true = self.FALSE_INDEX, self.TRUE_INDEX
+        levels, lows, highs = self._levels, self._lows, self._highs
+        cleared: Set[Tuple[int, int]] = set()
+
+        def counterexample(left: int, right: int) -> bool:
+            if left == false or right == true or left == right:
+                return False
+            if left == true or right == false:
+                return True
+            if (left, right) in cleared:
+                return False
+            level = min(levels[left], levels[right])
+            left_low, left_high = (
+                (lows[left], highs[left]) if levels[left] == level else (left, left)
+            )
+            right_low, right_high = (
+                (lows[right], highs[right]) if levels[right] == level else (right, right)
+            )
+            if counterexample(left_low, right_low) or counterexample(left_high, right_high):
+                return True
+            cleared.add((left, right))
+            return False
+
+        return not counterexample(antecedent.index, consequent.index)
 
     # -- serialization -----------------------------------------------------------
     def dump(self, roots: Sequence[BDD]) -> Dict[str, object]:

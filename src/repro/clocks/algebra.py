@@ -18,7 +18,7 @@ inclusion, constraint detection) is then a BDD implication check.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.bdd.backend import create_manager
 from repro.bdd.bdd import BDD, BDDManager
@@ -113,32 +113,43 @@ class ClockAlgebra:
         of an N-component composition stop paying for the other N−1
         components on every BDD query.
         """
-        factors: List[BDD] = []
-        factor_of: Dict[str, int] = {}
-        for relation in self.relations.clock_relations:
-            conjunct = self.encode(relation.left).iff(self.encode(relation.right))
-            support = conjunct.support()
-            touched = sorted({factor_of[v] for v in support if v in factor_of})
-            merged = conjunct
-            for position in touched:
-                merged = merged & factors[position]
-                factors[position] = None  # type: ignore[call-overload]
-            factors.append(merged)
-            target = len(factors) - 1
-            for variable, position in list(factor_of.items()):
-                if position in touched:
-                    factor_of[variable] = target
+        conjuncts = [
+            self.encode(relation.left).iff(self.encode(relation.right))
+            for relation in self.relations.clock_relations
+        ]
+        supports = [conjunct.support() for conjunct in conjuncts]
+        parent = list(range(len(conjuncts)))
+
+        def find(position: int) -> int:
+            while parent[position] != position:
+                parent[position] = parent[parent[position]]
+                position = parent[position]
+            return position
+
+        first_user: Dict[str, int] = {}
+        for position, support in enumerate(supports):
             for variable in support:
-                factor_of[variable] = target
+                other = first_user.setdefault(variable, position)
+                parent[find(other)] = find(position)
+        groups: Dict[int, List[int]] = {}
+        for position in range(len(conjuncts)):
+            groups.setdefault(find(position), []).append(position)
+        # factors in the order of each group's last conjunct; each factor is
+        # conjoined pairwise, neighbours first, so the intermediate BDDs stay
+        # local instead of re-walking one growing factor per conjunct
         kept: List[BDD] = []
-        renumber: Dict[int, int] = {}
-        for position, factor in enumerate(factors):
-            if factor is not None:
-                renumber[position] = len(kept)
-                kept.append(factor)
-        self._factor_of = {
-            variable: renumber[position] for variable, position in factor_of.items()
-        }
+        self._factor_of: Dict[str, int] = {}
+        for members in sorted(groups.values(), key=lambda members: members[-1]):
+            parts = [conjuncts[position] for position in members]
+            while len(parts) > 1:
+                paired = [left & right for left, right in zip(parts[::2], parts[1::2])]
+                if len(parts) % 2:
+                    paired.append(parts[-1])
+                parts = paired
+            for position in members:
+                for variable in supports[position]:
+                    self._factor_of[variable] = len(kept)
+            kept.append(parts[0])
         self._combined: Dict[frozenset, BDD] = {}
         self._unsatisfiable = any(not factor.is_satisfiable() for factor in kept)
         return kept
@@ -183,13 +194,14 @@ class ClockAlgebra:
         if self._unsatisfiable:
             return True
         relevant = self._relevant_relation(constraint.support())
-        return relevant.implies(constraint).is_true()
+        return self.manager.implies_check(relevant, constraint)
 
     def feasible(self, constraint: BDD) -> bool:
         """``R ∧ constraint`` is satisfiable: the constraint can tick at all."""
         if self._unsatisfiable:
             return False
-        return (self._relevant_relation(constraint.support()) & constraint).is_satisfiable()
+        relevant = self._relevant_relation(constraint.support())
+        return not self.manager.implies_check(relevant, ~constraint)
 
     def constrained(self, constraint: BDD) -> BDD:
         """``constraint`` conjoined with exactly the factors it touches.
@@ -201,6 +213,34 @@ class ClockAlgebra:
         scheduling closure propagate feasibility component-locally.
         """
         return self._relevant_relation(constraint.support()) & constraint
+
+    def witness(self, cube: Mapping[str, bool]) -> Optional[Dict[str, bool]]:
+        """An assignment of the factors ``cube`` touches under which ``cube`` holds.
+
+        ``cube`` maps variables to the values a conjunction of literals pins
+        them to.  The answer is ``constrained(cube).satisfy_one()`` up to
+        the choice of path: ``cube`` plus one path to TRUE through the
+        touched factors that agrees with ``cube``, found by a depth-first
+        walk that builds no node and enters a dead end at most once.
+        ``None`` when the touched factors rule the cube out.
+        """
+        path: Dict[str, bool] = dict(cube)
+        dead: Set[int] = set()
+
+        def descend(node: BDD) -> bool:
+            if node.is_true():
+                return True
+            if node.is_false() or node.index in dead:
+                return False
+            name = node.variable
+            for value in (cube[name],) if name in cube else (True, False):
+                if descend(node.high if value else node.low):
+                    path[name] = value
+                    return True
+            dead.add(node.index)
+            return False
+
+        return path if descend(self._relevant_relation(cube)) else None
 
     def entails_equal(self, left: ClockExpressionSyntax, right: ClockExpressionSyntax) -> bool:
         """``R |= left = right``."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.clocks.algebra import ClockAlgebra
+from repro.clocks.algebra import ClockAlgebra, presence_variable, value_variable
 from repro.clocks.expressions import clock_key, format_clock_expression
 from repro.clocks.relations import TimingRelations
 from repro.lang.ast import (
@@ -33,22 +33,6 @@ from repro.lang.ast import (
 from repro.lang.normalize import NormalizedProcess
 
 ClockKey = Tuple
-
-
-class _AbsentByDefault(dict):
-    """A partial witness assignment totalized by absence.
-
-    BDD evaluation asks for arbitrary variables; everything the witness did
-    not pin (presences and values of unrelated signals) reads as ``False``
-    — the all-absent completion, which satisfies every clock-relation
-    factor by construction.
-    """
-
-    def __contains__(self, key: object) -> bool:  # evaluate() probes membership
-        return True
-
-    def __missing__(self, key: str) -> bool:
-        return False
 
 
 @dataclass
@@ -258,46 +242,57 @@ def build_hierarchy(
     # *R-satisfying witness samples* (one per discovered class).  Clocks
     # provably equal under R agree on every R-satisfying assignment, so a
     # spectrum mismatch soundly rules the pair out; only spectrum-identical
-    # pairs reach the entailment check.  On an N-component composition this
-    # turns almost every cross-component comparison into a couple of
-    # constant-time BDD evaluations.
+    # pairs reach the entailment check.  A clock's spectrum is a bit mask
+    # over the samples, set as each sample arrives from the signals it makes
+    # present, so screening a pair is one integer comparison.
     classes: List[ClockClass] = []
-    class_bdds: List = []
-    class_spectra: List[List[bool]] = []
-    samples: List[Mapping[str, bool]] = []
+    encoded = [algebra.encode(clock) for clock in clocks]
+    representatives: List[int] = []
+    spectra = [0] * len(clocks)
+    # per signal: its presence and value variables, and the clocks it makes
+    # tick (``None``: whenever present, else when its value is the one given)
+    ticks_with: Dict[str, List[Tuple[int, Optional[bool]]]] = {}
+    for position, clock in enumerate(clocks):
+        value = None if isinstance(clock, ClockOf) else isinstance(clock, ClockTrue)
+        ticks_with.setdefault(clock.name, []).append((position, value))
+    signal_ticks = [
+        (presence_variable(name), value_variable(name), ticking)
+        for name, ticking in ticks_with.items()
+    ]
+    samples = 0
 
-    def spectrum(encoded, cache: List[bool]) -> List[bool]:
-        while len(cache) < len(samples):
-            cache.append(encoded.evaluate(samples[len(cache)]))
-        return cache
+    def add_sample(witness: Mapping[str, bool]) -> None:
+        nonlocal samples
+        bit = 1 << samples
+        samples += 1
+        for presence, value_name, ticking in signal_ticks:
+            if witness.get(presence, False):
+                value = witness.get(value_name, False)
+                for position, wanted in ticking:
+                    if wanted is None or wanted == value:
+                        spectra[position] |= bit
 
-    for clock in clocks:
-        encoded = algebra.encode(clock)
-        candidate_spectrum: List[bool] = []
-        placed = False
-        for position, clock_class in enumerate(classes):
-            representative_bdd = class_bdds[position]
-            if encoded is not representative_bdd:
-                if spectrum(encoded, candidate_spectrum) != spectrum(
-                    representative_bdd, class_spectra[position]
-                ):
-                    continue
-                if not algebra.entails(encoded.iff(representative_bdd)):
-                    continue
+    for position, clock in enumerate(clocks):
+        for clock_class, representative in zip(classes, representatives):
+            if spectra[position] != spectra[representative]:
+                continue
+            if not algebra.entails(encoded[position].iff(encoded[representative])):
+                continue
             clock_class.members.append(clock)
-            placed = True
             break
-        if not placed:
+        else:
             classes.append(ClockClass(index=len(classes), members=[clock]))
-            class_bdds.append(encoded)
-            class_spectra.append(candidate_spectrum)
+            representatives.append(position)
             # a witness instant for the new class: the clock ticks, its own
             # relation factors hold, and every other signal is absent — the
             # all-absent completion satisfies the remaining factors, so the
             # sample satisfies R and the screening stays sound
-            witness = algebra.constrained(encoded).satisfy_one()
+            cube = {presence_variable(clock.name): True}
+            if not isinstance(clock, ClockOf):
+                cube[value_variable(clock.name)] = isinstance(clock, ClockTrue)
+            witness = algebra.witness(cube)
             if witness is not None:
-                samples.append(_AbsentByDefault(witness))
+                add_sample(witness)
 
     key_to_class: Dict[ClockKey, int] = {}
     for clock_class in classes:

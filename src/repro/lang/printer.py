@@ -19,7 +19,7 @@ design registry and artifact store key on.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.lang.ast import (
     BinaryOp,
@@ -281,18 +281,31 @@ def _canonical_local_renaming(process: NormalizedProcess) -> Dict[str, str]:
     hidden = set(process.locals) - interface
     if not hidden:
         return {}
+    # each equation with the hidden locals it mentions, and per local the
+    # equations it occurs in: a signature renders only those equations,
+    # marking only those locals
+    occurrences: Dict[str, List[Tuple[PrimitiveEquation, Set[str]]]] = {
+        name: [] for name in hidden
+    }
+    for equation in process.equations:
+        mentioned = hidden.intersection(equation.signals())
+        for name in mentioned:
+            occurrences[name].append((equation, mentioned))
     rank: Dict[str, int] = {name: 0 for name in hidden}
     for _round in range(len(hidden) + 2):
         signatures: Dict[str, List[str]] = {}
         for name in hidden:
-            marking = {
-                other: ("\x00self" if other == name else f"\x00c{rank[other]}")
-                for other in hidden
-            }
             signatures[name] = sorted(
-                format_primitive_equation(rename_equation(equation, marking))
-                for equation in process.equations
-                if name in equation.signals()
+                format_primitive_equation(
+                    rename_equation(
+                        equation,
+                        {
+                            other: ("\x00self" if other == name else f"\x00c{rank[other]}")
+                            for other in mentioned
+                        },
+                    )
+                )
+                for equation, mentioned in occurrences[name]
             )
         ordered = sorted(hidden, key=lambda name: (rank[name], signatures[name]))
         refined: Dict[str, int] = {}

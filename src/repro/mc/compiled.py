@@ -33,11 +33,16 @@ back to the interpreter-backed enumeration transparently.
 
 The compiled step relation lives on a **private** manager (any registered
 :mod:`repro.bdd.backend` kernel; ``backend=`` or ``REPRO_BDD_BACKEND``
-selects it) whose variable order is seeded from the clock hierarchy (registers interleaved
-current/next first, then signals forest-ordered with each ``e·x`` adjacent
-to its ``d·x``); after compilation the manager sheds its intermediate
-conjuncts (:meth:`~repro.bdd.bdd.BDDManager.collect_garbage`) and — for
-large relations — runs a sifting pass to shrink the order further.
+selects it) whose variable order is read statically off the dataflow graph
+of the equations: a depth-first walk from the inputs along operand → target
+edges, each ``e·x`` adjacent to its ``d·x`` and each register's ``s'·r`` /
+``s·r`` between the signal it samples and the signal it feeds (see
+:meth:`CompiledAbstraction._seed_variable_order`).  That order keeps every
+equation's variables close together, so the relation is small as built and
+compilation does not sift; after compilation the manager sheds its
+intermediate conjuncts (:meth:`~repro.bdd.bdd.BDDManager.collect_garbage`).
+Sifting remains only as a safety net for a relation past
+:data:`SIFT_THRESHOLD` nodes, which no generated design reaches.
 
 The interpreter is kept as a *cross-check oracle*: ``cross_check=True``
 verifies every per-state answer against
@@ -51,7 +56,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bdd.backend import create_manager, load_manager
 from repro.bdd.bdd import BDD, BDDManager
-from repro.clocks.hierarchy import ClockHierarchy, build_hierarchy
+from repro.clocks.hierarchy import ClockHierarchy
 from repro.lang.ast import (
     ClockBinary,
     ClockEmpty,
@@ -83,7 +88,8 @@ from repro.mc.symbolic import current_variable, event_variable, next_variable, v
 #: boolean operators the step relation can encode directly
 _BOOLEAN_OPERATORS = frozenset({"and", "or", "xor", "not", "id", "=", "/="})
 
-#: past this many step-relation nodes, a sifting pass is worth its cost
+#: safety net: past this many step-relation nodes the static order has lost,
+#: and a sifting pass is worth its cost
 SIFT_THRESHOLD = 2048
 
 
@@ -194,6 +200,8 @@ class CompiledAbstraction:
     :meth:`initial_state` and :meth:`reactions` — but answers them from the
     compiled step relation.  Raises :class:`CompilationError` outside the
     fragment; use :meth:`try_compile` for the fall-back-to-``None`` form.
+    The variable order comes from the equations alone: ``hierarchy`` is only
+    handed to the ``cross_check`` oracle, which builds one when it is absent.
     """
 
     def __init__(
@@ -201,7 +209,6 @@ class CompiledAbstraction:
         process: NormalizedProcess,
         hierarchy: Optional[ClockHierarchy] = None,
         cross_check: bool = False,
-        sift_threshold: int = SIFT_THRESHOLD,
         backend: Optional[str] = None,
     ):
         obstacles = compilation_obstacles(process)
@@ -211,7 +218,7 @@ class CompiledAbstraction:
                 + "; ".join(obstacles[:3])
             )
         self.process = process
-        self.hierarchy = hierarchy or build_hierarchy(process)
+        self.hierarchy = hierarchy
         self._boolean = set(process.boolean_signals())
         self._signals: Tuple[str, ...] = process.all_signals()
         self._registers: Tuple[str, ...] = tuple(
@@ -225,11 +232,11 @@ class CompiledAbstraction:
         self.manager = create_manager(self._seed_variable_order(), backend=backend)
         self.step = self._compile()
         (self.step,) = self.manager.collect_garbage([self.step])
-        if self.step.node_count() > sift_threshold:
+        if self.step.node_count() > SIFT_THRESHOLD:
             (self.step,) = self.manager.sift([self.step], max_variables=24)
         self._precompute_columns()
         self._oracle: Optional[BooleanAbstraction] = (
-            BooleanAbstraction(process, self.hierarchy) if cross_check else None
+            BooleanAbstraction(process, hierarchy) if cross_check else None
         )
         #: instrumentation for the benchmarks: per-state queries served and
         #: reactions enumerated by the BDD walk
@@ -280,42 +287,40 @@ class CompiledAbstraction:
 
     # -- variable order ----------------------------------------------------------
     def _seed_variable_order(self) -> List[str]:
-        """Registers first (current/next interleaved), then the signal forest.
+        """A static order read off the dataflow graph of the equations.
 
-        The clock hierarchy orders signals parent-before-child (a clock near
-        the root decides the presence of everything below it, so testing it
-        early keeps the relation shallow); each presence variable sits right
-        next to its value variable.
+        A depth-first walk along operand → target edges, started from the
+        inputs and then from every signal not yet reached, emits each
+        signal's ``e·x`` followed by its ``d·x``; a delay register's
+        ``s'·r`` and ``s·r`` go right before its target, so they sit between
+        the variables of the source they sample and those of the signal
+        they feed.  Every equation then constrains variables that are close
+        in the order (Fujita et al., ICCAD 1988): a ``b``-bit shift register
+        compiles to a relation linear in ``b`` with no sifting at all.
         """
+        successors: Dict[str, List[str]] = {}
+        for equation in self.process.equations:
+            target = equation.defined_signal()
+            if target is not None:
+                for operand in equation.read_signals():
+                    successors.setdefault(operand, []).append(target)
+        registers = set(self._registers)
         order: List[str] = []
-        for register in self._registers:
-            order.append(current_variable(register))
-            order.append(next_variable(register))
-        emitted: Set[str] = set()
-
-        def emit(name: str) -> None:
-            if name in emitted:
-                return
-            emitted.add(name)
-            order.append(event_variable(name))
-            if name in self._boolean:
-                order.append(value_variable(name))
-
-        parents = self.hierarchy.parent_map()
-        children: Dict[Optional[int], List[int]] = {}
-        for index, parent in parents.items():
-            children.setdefault(parent, []).append(index)
-
-        def visit(index: int) -> None:
-            for name in self.hierarchy.classes[index].signal_clocks():
-                emit(name)
-            for child in sorted(children.get(index, [])):
-                visit(child)
-
-        for root in sorted(children.get(None, [])):
-            visit(root)
-        for name in self._signals:
-            emit(name)
+        visited: Set[str] = set()
+        for root in list(self.process.inputs) + list(self._signals):
+            stack = [root]
+            while stack:
+                name = stack.pop()
+                if name in visited:
+                    continue
+                visited.add(name)
+                if name in registers:
+                    order.append(next_variable(name))
+                    order.append(current_variable(name))
+                order.append(event_variable(name))
+                if name in self._boolean:
+                    order.append(value_variable(name))
+                stack.extend(reversed(successors.get(name, ())))
         return order
 
     # -- compilation -------------------------------------------------------------
@@ -512,8 +517,9 @@ class CompiledAbstraction:
             )
 
     # -- serialization ------------------------------------------------------------
-    #: payload schema version; bump when the encoding of the relation changes
-    PAYLOAD_FORMAT = 1
+    #: payload schema version; bump when the encoding of the relation or the
+    #: default variable order changes (2: static dataflow order)
+    PAYLOAD_FORMAT = 2
 
     def to_payload(self) -> Dict[str, object]:
         """A JSON-safe snapshot of the compiled engine for the artifact store.

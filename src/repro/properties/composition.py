@@ -220,15 +220,18 @@ def _interface_clock_constraints(
         if name in boolean:
             candidate_clocks.append(ClockTrue(name))
             candidate_clocks.append(ClockFalse(name))
+    # every candidate is a clock of the hierarchy, whose classes already
+    # partition them by provable equality under R
+    hierarchy = analysis.hierarchy
     constraints: List[str] = []
-    for left, right in analysis.algebra.implied_equalities(candidate_clocks):
-        left_names = left.free_signals()
-        right_names = right.free_signals()
-        if left_names == right_names:
-            continue  # trivially about the same signal
-        constraints.append(
-            f"{format_clock_expression(left)} = {format_clock_expression(right)}"
-        )
+    for index, left in enumerate(candidate_clocks):
+        for right in candidate_clocks[index + 1 :]:
+            if left.free_signals() == right.free_signals():
+                continue  # trivially about the same signal
+            if hierarchy.same_class(left, right):
+                constraints.append(
+                    f"{format_clock_expression(left)} = {format_clock_expression(right)}"
+                )
     return constraints
 
 

@@ -51,25 +51,6 @@ def transitive_closure(graph: SchedulingGraph) -> Dict[Tuple[Node, Node], BDD]:
     return closure
 
 
-def _feasible_edges(graph: SchedulingGraph):
-    """The edges whose clock label can actually tick under the timing relations.
-
-    Each label is conjoined with the relation *factors* it touches
-    (:meth:`~repro.clocks.algebra.ClockAlgebra.constrained`) rather than the
-    full relation — equi-satisfiable, and on an N-component composition the
-    per-edge BDD work stays local to the components the edge mentions.
-    """
-    algebra = graph.algebra
-    if not algebra.satisfiable():
-        return []
-    feasible = []
-    for edge in graph.edges():
-        constrained = algebra.constrained(edge.label)
-        if constrained.is_satisfiable():
-            feasible.append((edge, constrained))
-    return feasible
-
-
 def _strongly_connected_components(nodes, successors) -> List[List[Node]]:
     """Tarjan's algorithm (iterative) over the feasible-edge graph."""
     index_of: Dict[Node, int] = {}
@@ -129,29 +110,31 @@ def cyclic_nodes(graph: SchedulingGraph) -> List[Tuple[Node, BDD]]:
     """
     manager = graph.algebra.manager
     algebra = graph.algebra
-    feasible = _feasible_edges(graph)
+    # feasibility is decided without building a conjunction; a label is
+    # conjoined with the relation factors it touches
+    # (:meth:`~repro.clocks.algebra.ClockAlgebra.constrained`) only where
+    # the closure needs it: on self-loops and inside non-trivial SCCs
+    feasible = graph.effective_edges()
     successors: Dict[Node, List[Node]] = {}
-    for edge, _constrained in feasible:
+    for edge in feasible:
         successors.setdefault(edge.source, []).append(edge.target)
     nodes = graph.nodes()
     components = _strongly_connected_components(nodes, successors)
 
     offenders: List[Tuple[Node, BDD]] = []
-    self_loops = {
-        edge.source: constrained for edge, constrained in feasible if edge.source == edge.target
-    }
-    for node, constrained in sorted(self_loops.items()):
-        offenders.append((node, constrained))
+    self_loops = {edge.source: edge.label for edge in feasible if edge.source == edge.target}
+    for node, label in sorted(self_loops.items()):
+        offenders.append((node, algebra.constrained(label)))
 
     for component in components:
         if len(component) < 2:
             continue
         members = set(component)
         closure: Dict[Tuple[Node, Node], BDD] = {}
-        for edge, constrained in feasible:
+        for edge in feasible:
             if edge.source in members and edge.target in members:
                 key = (edge.source, edge.target)
-                closure[key] = closure.get(key, manager.false) | constrained
+                closure[key] = closure.get(key, manager.false) | algebra.constrained(edge.label)
         ordered = sorted(members)
         for middle in ordered:
             for source in ordered:

@@ -83,3 +83,19 @@ def _check_deploy_record(payload):
         assert entry["reactions_per_second"] > 0
     names = {family["name"] for family in payload["metrics"]["families"]}
     assert "repro_deploy_batch_lanes_total" in names
+
+
+def test_flush_creates_a_missing_output_directory(tmp_path, monkeypatch):
+    """``BENCH_OUTPUT_DIR`` may name a directory that does not exist yet."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
+    import _record
+
+    target = tmp_path / "not" / "yet"
+    monkeypatch.setenv("BENCH_OUTPUT_DIR", str(target))
+    recorder = _record.BenchRecorder("flushcheck")
+    recorder.record("one scenario", seconds=0.5)
+    path = recorder.flush()
+    assert path == target / "BENCH_flushcheck.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["bench"] == "flushcheck"
+    assert payload["entries"] == [{"scenario": "one scenario", "seconds": 0.5}]

@@ -1,6 +1,6 @@
 """The compiled reaction engine agrees with the interpreter-backed engines.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **exact LTS equivalence** — for every process of the library (including
   processes with non-boolean inputs), the compiled exploration produces the
@@ -14,7 +14,10 @@ Three layers of guarantees:
   outcome through ``method="compiled"``, ``method="explicit"`` and the lazy
   product, including the multiply-defined-signal fallback, and violating
   reactions reported by the compiled engine are real (enabled in the eager
-  LTS).
+  LTS);
+* **a static order that needs no sifting** — shift stages and every
+  generated process compile small without a sift, and a relation stored
+  under the previous order's payload format is recompiled, not reused.
 """
 
 from __future__ import annotations
@@ -23,12 +26,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.session import AnalysisContext, Design
+from repro.bdd.bdd import BDDManager
+from repro.gen.topologies import sample_design
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
 from repro.lang.normalize import normalize
+from repro.lang.printer import process_digest
 from repro.library.basic import buffer_process, filter_merge_composition, filter_process
 from repro.library.generators import chain_of_buffers, pipeline_network, star_network
 from repro.library.producer_consumer import normalized_suite
 from repro.mc.compiled import (
+    SIFT_THRESHOLD,
     CompilationError,
     CompiledAbstraction,
     build_lts_compiled,
@@ -38,6 +45,7 @@ from repro.mc.onthefly import OnTheFlyChecker, ProductLTS
 from repro.mc.transition import build_lts
 from repro.mocc.reactions import Reaction
 from repro.semantics import interpreter
+from repro.service.store import ArtifactStore
 
 
 def _suite():
@@ -270,3 +278,100 @@ def test_reactions_are_interned_and_cached():
     assert first.absent_signals() == frozenset({"b", "c"})
     assert hash(first) == hash(Reaction(domain, {"a": True}))
     assert first == Reaction(domain, {"a": True})
+
+
+# ---------------------------------------------------------------------------
+# static variable order: no sifting on the compile path
+# ---------------------------------------------------------------------------
+
+SHIFT_WIDTHS = (6, 7, 8, 9)
+
+
+def _shift_stage(index: int, bits: int):
+    """A ``bits``-register boolean shift register from ``s_index`` to ``s_index+1``."""
+    source, target = f"s{index}", f"s{index + 1}"
+    builder = ProcessBuilder(f"stage{index}", inputs=[source], outputs=[target])
+    previous = source
+    for bit in range(bits):
+        register = f"r{index}_{bit}"
+        builder.local(register)
+        builder.define(register, signal(previous).pre(False))
+        previous = register
+    builder.define(target, signal(previous))
+    return normalize(builder.build())
+
+
+@pytest.fixture
+def sift_calls(monkeypatch):
+    """Every :meth:`BDDManager.sift` call made while the test runs (any backend)."""
+    calls = []
+    original = BDDManager.sift
+
+    def counting(manager, keep, *args, **kwargs):
+        calls.append(manager)
+        return original(manager, keep, *args, **kwargs)
+
+    monkeypatch.setattr(BDDManager, "sift", counting)
+    return calls
+
+
+def test_shift_stages_compile_without_sifting(sift_calls):
+    for index, bits in enumerate(SHIFT_WIDTHS):
+        CompiledAbstraction(_shift_stage(index, bits))
+    assert sift_calls == []
+
+
+def test_shift_stage_relation_grows_linearly_in_bits():
+    """Each register adds the same number of nodes under the static order."""
+    sizes = [CompiledAbstraction(_shift_stage(0, bits)).bdd_nodes() for bits in SHIFT_WIDTHS]
+    increments = {larger - smaller for smaller, larger in zip(sizes, sizes[1:])}
+    assert len(increments) == 1 and increments.pop() > 0, sizes
+
+
+@pytest.mark.parametrize("bits", SHIFT_WIDTHS)
+def test_shift_stage_agrees_with_the_oracle_on_every_reachable_state(bits):
+    lts = build_lts_compiled(_shift_stage(0, bits), max_states=1024, cross_check=True)
+    assert not lts.truncated
+    assert lts.state_count() == 2 ** bits
+
+
+def test_generated_processes_stay_under_the_sift_threshold(sift_calls):
+    """The static order alone keeps every generated relation small."""
+    seen = set()
+    for depth in (1, 2, 3):
+        for seed in range(300):
+            generated = sample_design(seed, depth=depth)
+            for process in (*generated.components, generated.composition):
+                key = (process_digest(process), process.all_signals())
+                if key in seen or compilation_obstacles(process):
+                    continue
+                seen.add(key)
+                nodes = CompiledAbstraction(process).bdd_nodes()
+                assert nodes <= SIFT_THRESHOLD, (generated.name, process.name, nodes)
+    assert len(seen) > 200
+    assert sift_calls == []
+
+
+def test_format_1_store_artifact_is_recompiled(tmp_path):
+    """A relation stored under the old variable order is a miss, not an answer."""
+    process = _shift_stage(0, 6)
+    fresh = Design(name="stage0", components=[process])
+    fresh.context.artifact_cache = ArtifactStore(tmp_path / "fresh")
+    expected = fresh.verify("non-blocking", "compiled")
+    digest = fresh.context.digest_of(process)
+    payload = fresh.context.artifact_cache.get(digest, "compiled")
+    assert payload["abstraction"]["format"] == CompiledAbstraction.PAYLOAD_FORMAT == 2
+
+    store = ArtifactStore(tmp_path / "migrated")
+    stale = {**payload, "abstraction": {**payload["abstraction"], "format": 1}}
+    store.put(digest, "compiled", stale)
+    design = Design(name="stage0", components=[process])
+    design.context.artifact_cache = store
+    verdict = design.verify("non-blocking", "compiled")
+    counters = design.context.graph.counters["compiled"]
+    assert counters["invalid"] == 1 and counters["computed"] == 1
+    assert counters.get("store_hits", 0) == 0
+    assert (verdict.holds, verdict.method, verdict.diagnostics) == (
+        expected.holds, expected.method, expected.diagnostics
+    )
+    assert store.get(digest, "compiled")["abstraction"]["format"] == 2
