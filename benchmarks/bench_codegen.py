@@ -10,7 +10,7 @@ buys over direct interpretation.
 from _record import recorder, timed
 
 from repro.codegen.runtime import StreamIO
-from repro.codegen.sequential import compile_process
+from repro.codegen.specialized import compile_process
 from repro.semantics.interpreter import SignalInterpreter
 
 RECORD = recorder("codegen")

@@ -41,6 +41,8 @@ from _record import recorder
 from repro import Design
 from repro.lang.builder import ProcessBuilder, signal
 from repro.lang.normalize import normalize
+from repro.lang.printer import process_digest
+from repro.library.basic import buffer_process
 from repro.library.generators import chain_of_buffers, pipeline_network
 from repro.mc import OnTheFlyChecker, ProductLTS, build_lts
 from repro.properties.weak_endochrony import check_weak_endochrony
@@ -182,8 +184,28 @@ def test_onthefly_bench_product_expansion(benchmark):
 # ---------------------------------------------------------------------------
 
 def _batch_components(count: int = 6):
-    """Independent, individually heavy components (composed buffer chains)."""
-    return [chain_of_buffers(4)[1] for _ in range(count)]
+    """Independent, individually heavy components (composed buffer chains).
+
+    Chain ``k`` starts buffer ``i`` at the boolean bit ``i`` of ``k``, so up
+    to 16 chains have distinct content digests: no query of a batch can be
+    answered from another's memo entry.
+    """
+    chains = []
+    for variant in range(count):
+        composition = None
+        for index in range(4):
+            stage = normalize(
+                buffer_process(
+                    name=f"buffer{index}",
+                    input_name=f"y{index}",
+                    output_name=f"y{index + 1}",
+                    initial=bool(variant >> index & 1),
+                )
+            )
+            composition = stage if composition is None else composition.compose(stage)
+        composition.name = f"buffer_chain_{variant}"
+        chains.append(composition)
+    return chains
 
 
 def test_verify_many_and_map_components_agree_with_sequential():
@@ -250,7 +272,9 @@ def test_map_components_parallel_beats_sequential_loop():
     Six independent weak-endochrony queries of ~0.5 s each: the sequential
     loop pays their sum, two workers pay roughly half plus the pool start-up.
     """
-    sequential_design = Design(name="batch", components=_batch_components(6))
+    components = _batch_components(6)
+    assert len({process_digest(component) for component in components}) == 6
+    sequential_design = Design(name="batch", components=components)
     start = time.perf_counter()
     sequential = sequential_design.map_components("weak-endochrony", method="explicit")
     sequential_seconds = time.perf_counter() - start

@@ -68,7 +68,7 @@ from repro.properties.composition import (
     compose_and_check,
     verify_weakly_hierarchic,
 )
-from repro.codegen.sequential import CompiledProcess, compile_process
+from repro.codegen.specialized import CompiledProcess, compile_process
 from repro.codegen.runtime import StreamIO, simulate
 from repro.codegen.controller import ControlledComposition, synthesize_controller
 from repro.codegen.concurrent import ConcurrentComposition, run_concurrent

@@ -3,13 +3,13 @@
 * :mod:`repro.codegen.runtime` — simulation runtime: stream-based IO and the
   ``main``-style iterate loop of Section 3.6;
 * :mod:`repro.codegen.sequential` — sequential code generation for
-  endochronous (hierarchic) processes: a Python step function (compiled and
-  executable), a C-like listing mirroring the paper's figures, and the
-  scheduled :class:`~repro.codegen.sequential.StepProgram` the execution
-  tiers compile from;
-* :mod:`repro.codegen.specialized` — the closure-specialized execution tier
-  (IO and delay registers bound once per stream) and the per-step-dispatch
-  reference interpreter it is benchmarked against;
+  endochronous (hierarchic) processes: the scheduled
+  :class:`~repro.codegen.sequential.StepProgram`, the one IR every listing
+  and execution tier is rendered from, and its C-like listing mirroring the
+  paper's figures;
+* :mod:`repro.codegen.specialized` — the exec-compiled step function (IO and
+  delay registers bound once per stream into closures) and the
+  per-step-dispatch reference interpreter it is benchmarked against;
 * :mod:`repro.codegen.batch` — the vectorized fleet runtime: numpy lanes
   stepping thousands of independent deployment instances per call;
 * :mod:`repro.codegen.clusters` — grouping of signals by clock class;
@@ -22,18 +22,17 @@
 
 from repro.codegen.runtime import EndOfStream, StreamIO, RecordingIO, simulate
 from repro.codegen.sequential import (
-    CompiledProcess,
     CodeGenerationError,
     StepOp,
     StepProgram,
     build_step_program,
-    compile_process,
+    render_c,
 )
 from repro.codegen.specialized import (
+    CompiledProcess,
     InterpretedProcess,
-    SpecializedProcess,
     compile_interpreted,
-    compile_specialized,
+    compile_process,
 )
 from repro.codegen.batch import (
     BatchCompilationError,
@@ -60,11 +59,10 @@ __all__ = [
     "StepOp",
     "StepProgram",
     "build_step_program",
+    "render_c",
     "compile_process",
     "InterpretedProcess",
-    "SpecializedProcess",
     "compile_interpreted",
-    "compile_specialized",
     "BatchCompilationError",
     "BatchOverflowError",
     "BatchProgram",

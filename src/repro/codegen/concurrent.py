@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.codegen.controller import ClockConstraintSpec, ControlledComposition
 from repro.codegen.runtime import EndOfStream, StreamIO
-from repro.codegen.sequential import CompiledProcess
+from repro.codegen.specialized import CompiledProcess
 
 
 class _ThreadIO:

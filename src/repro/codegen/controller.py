@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.codegen.runtime import EndOfStream, StreamIO
-from repro.codegen.sequential import CompiledProcess
+from repro.codegen.specialized import CompiledProcess
 from repro.lang.ast import ClockExpressionSyntax, ClockFalse, ClockOf, ClockTrue
 from repro.properties.composition import CompositionVerdict
 
@@ -72,7 +72,7 @@ class _ComponentIO:
     The adapter is persistent: one instance per component lives across global
     steps and is :meth:`rebind`-ed with the step's fresh inputs.  A stable IO
     identity lets the specialized execution tier
-    (:class:`~repro.codegen.specialized.SpecializedProcess`) keep its bound
+    (:class:`~repro.codegen.specialized.CompiledProcess`) keep its bound
     step closure across steps instead of recompiling the binding each time.
     """
 

@@ -1,15 +1,17 @@
 """Sequential code generation (Sections 3.6 and 5.1).
 
-For an endochronous (compilable and hierarchic) process, the generator emits
-a *step function*: one call computes one reaction, reading the inputs that
-the clock calculus proves are needed and writing the outputs that are
-present, exactly like the ``buffer_iterate`` transition function of the
-paper.  Two artefacts are produced from the same schedule:
+For an endochronous (compilable and hierarchic) process, the generator
+schedules a *step function*: one call computes one reaction, reading the
+inputs that the clock calculus proves are needed and writing the outputs that
+are present, exactly like the ``buffer_iterate`` transition function of the
+paper.  The schedule is a :class:`StepProgram`, a flat stream of
+:class:`StepOp`; every artefact is rendered from it:
 
-* executable Python source (compiled with ``exec``), used by the tests, the
-  controller of Section 5.2 and the benchmarks;
-* a C-like listing that mirrors the paper's figures, for documentation and
-  inspection.
+* :func:`render_c` prints the C-like listing that mirrors the paper's
+  figures, for documentation and inspection;
+* :mod:`repro.codegen.specialized` exec-compiles it into the default
+  execution tier and walks it in the per-op reference interpreter;
+* :mod:`repro.codegen.batch` compiles it into a numpy fleet kernel.
 
 For a process whose hierarchy has several roots the generator can either
 refuse (the default — the compositional scheme of Section 5.2 should be used
@@ -21,7 +23,7 @@ the paper's ``main_iterate``) and rely on the environment to drive them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.lang.ast import (
     ClockBinary,
@@ -33,14 +35,12 @@ from repro.lang.ast import (
     Const,
 )
 from repro.lang.normalize import (
-    ClockEquation,
     DelayEquation,
     FunctionEquation,
     MergeEquation,
     NormalizedProcess,
     SamplingEquation,
 )
-from repro.codegen.runtime import EndOfStream, StreamIO
 from repro.properties.compilable import ProcessAnalysis
 
 
@@ -144,10 +144,9 @@ def _c_constant(value: object) -> str:
 class StepOp:
     """One semantic operation of a step function, in schedule order.
 
-    The textual listings (Python / C sources) are renderings of this stream;
-    the specialized and batch runtimes of :mod:`repro.codegen.specialized`
-    and :mod:`repro.codegen.batch` compile it directly instead of re-parsing
-    the text.  Kinds:
+    The C listing (:func:`render_c`), the exec-compiled and interpreted
+    tiers of :mod:`repro.codegen.specialized` and the batch runtime of
+    :mod:`repro.codegen.batch` are all renderings of this stream.  Kinds:
 
     * ``"master_read"`` — unconditionally read the master-clock input ``target``;
     * ``"presence"`` — ``p_<target> = py_expr``;
@@ -158,6 +157,7 @@ class StepOp:
     * ``"update"`` — if ``source`` is present, store ``v_<source>`` into
       ``register``.
 
+    ``c_expr`` is the C rendering of a presence or compute expression;
     ``array_expr`` is the numpy-elementwise rendering (``None`` when the
     expression falls outside the vectorizable fragment); ``guard`` marks
     numeric computations whose magnitude can grow (``+`` / ``-``), which the
@@ -171,6 +171,7 @@ class StepOp:
     register: Optional[str] = None
     source: Optional[str] = None
     guard: bool = False
+    c_expr: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -197,28 +198,15 @@ class StepProgram:
 
 @dataclass
 class _Statement:
-    """One emitted statement: target slot, Python lines, C lines, dependencies."""
+    """One schedulable op and the slots it depends on."""
 
     slot: Slot
-    python_lines: List[str]
-    c_lines: List[str]
+    op: StepOp
     dependencies: Set[Slot] = field(default_factory=set)
-    op: Optional[StepOp] = None
-
-
-@dataclass
-class _Candidate:
-    """A candidate way of computing a presence slot."""
-
-    python_expr: str
-    c_expr: str
-    dependencies: Set[Slot]
-    origin: str
-    array_expr: Optional[str] = None
 
 
 class _Generator:
-    """Builds the statement list of the step function for one process."""
+    """Schedules the op stream of the step function for one process."""
 
     def __init__(self, analysis: ProcessAnalysis, master_clocks: bool):
         self.analysis = analysis
@@ -311,8 +299,20 @@ class _Generator:
         raise CodeGenerationError(f"unsupported clock expression {expression!r}")
 
     # -- presence candidates ----------------------------------------------------------
-    def _presence_candidates(self, name: str) -> List[_Candidate]:
-        candidates: List[_Candidate] = []
+    def _presence_candidates(self, name: str) -> List[_Statement]:
+        """The candidate ways of computing ``p_<name>``, in order of preference."""
+        candidates: List[_Statement] = []
+
+        def candidate(py_expr: str, c_expr: str, array_expr: str, deps: Set[Slot]) -> None:
+            op = StepOp(
+                kind="presence",
+                target=name,
+                py_expr=py_expr,
+                array_expr=array_expr,
+                c_expr=c_expr,
+            )
+            candidates.append(_Statement(("p", name), op, deps))
+
         # 1. explicit clock relations (in disjunctive form)
         for relation in self.analysis.disjunctive.relations.clock_relations:
             for own, other in ((relation.left, relation.right), (relation.right, relation.left)):
@@ -320,34 +320,18 @@ class _Generator:
                     if name in other.free_signals():
                         continue
                     python_expr, c_expr, array_expr, deps = self._clock_expr(other)
-                    candidates.append(
-                        _Candidate(python_expr, c_expr, deps, "clock relation", array_expr)
-                    )
+                    candidate(python_expr, c_expr, array_expr, deps)
         # 2. the defining equation
         equation = self._defined_by.get(name)
         if isinstance(equation, FunctionEquation):
             signal_operands = [op for op in equation.operands if isinstance(op, str)]
             if signal_operands:
                 source = signal_operands[0]
-                candidates.append(
-                    _Candidate(
-                        _presence_var(source),
-                        f"C_{source}",
-                        {("p", source)},
-                        "synchronous operand",
-                        _presence_var(source),
-                    )
-                )
+                presence = _presence_var(source)
+                candidate(presence, f"C_{source}", presence, {("p", source)})
         elif isinstance(equation, DelayEquation):
-            candidates.append(
-                _Candidate(
-                    _presence_var(equation.source),
-                    f"C_{equation.source}",
-                    {("p", equation.source)},
-                    "synchronous delay",
-                    _presence_var(equation.source),
-                )
-            )
+            presence = _presence_var(equation.source)
+            candidate(presence, f"C_{equation.source}", presence, {("p", equation.source)})
         elif isinstance(equation, SamplingEquation):
             condition = equation.condition
             deps = {("p", condition), ("v", condition)}
@@ -359,33 +343,25 @@ class _Generator:
                 python_expr = f"({_presence_var(equation.source)} and {python_expr})"
                 c_expr = f"(C_{equation.source} && {c_expr})"
                 array_expr = f"({_presence_var(equation.source)} & {array_expr})"
-            candidates.append(_Candidate(python_expr, c_expr, deps, "sampling", array_expr))
+            candidate(python_expr, c_expr, array_expr, deps)
         elif isinstance(equation, MergeEquation):
-            deps = {("p", equation.preferred), ("p", equation.alternative)}
-            candidates.append(
-                _Candidate(
-                    f"({_presence_var(equation.preferred)} or {_presence_var(equation.alternative)})",
-                    f"(C_{equation.preferred} || C_{equation.alternative})",
-                    deps,
-                    "merge",
-                    f"({_presence_var(equation.preferred)} | {_presence_var(equation.alternative)})",
-                )
+            preferred = _presence_var(equation.preferred)
+            alternative = _presence_var(equation.alternative)
+            candidate(
+                f"({preferred} or {alternative})",
+                f"(C_{equation.preferred} || C_{equation.alternative})",
+                f"({preferred} | {alternative})",
+                {("p", equation.preferred), ("p", equation.alternative)},
             )
         # 3. root activation
         if name in self._root_signals:
             if self.master_clocks and len(self.master_clock_inputs) > 0:
                 master = f"C_{self._root_of_signal[name]}"
-                candidates.append(
-                    _Candidate(
-                        f"bool({_value_var(master)})",
-                        master,
-                        {("v", master)},
-                        "master clock",
-                        _value_var(master),
-                    )
+                candidate(
+                    f"bool({_value_var(master)})", master, _value_var(master), {("v", master)}
                 )
             else:
-                candidates.append(_Candidate("True", "TRUE", set(), "root activation", "_ones"))
+                candidate("True", "TRUE", "_ones", set())
         return candidates
 
     # -- value statements --------------------------------------------------------------
@@ -400,28 +376,16 @@ class _Generator:
         return operand
 
     def _value_statement(self, name: str) -> Optional[_Statement]:
-        presence = _presence_var(name)
-        value = _value_var(name)
         equation = self._defined_by.get(name)
         deps: Set[Slot] = {("p", name)}
 
         if equation is None:
             if name in self.process.inputs:
-                python_lines = [
-                    f"if {presence}:",
-                    "    try:",
-                    f"        {value} = io.read({name!r})",
-                    "    except EndOfStream:",
-                    "        return False",
-                ]
-                c_lines = [
-                    f"if (C_{name}) {{",
-                    f"  if (!r_{self.process.name}_{name}(&{name})) return FALSE;",
-                    "}",
-                ]
-                op = StepOp(kind="read", target=name)
-                return _Statement(("v", name), python_lines, c_lines, deps, op)
+                return _Statement(("v", name), StepOp(kind="read", target=name), deps)
             return None
+        if isinstance(equation, DelayEquation):
+            op = StepOp(kind="delay", target=name, register=name)
+            return _Statement(("v", name), op, deps)
 
         expr_array: Optional[str] = None
         guard = False
@@ -450,9 +414,6 @@ class _Generator:
                 # valid elementwise, so the array expression reuses it
                 expr_array = template.format(*rendered_py)
                 guard = equation.operator in ("+", "-")
-        elif isinstance(equation, DelayEquation):
-            expr_py = f"state[{name!r}]"
-            expr_c = name
         elif isinstance(equation, SamplingEquation):
             expr_py, source_deps = self._operand_python(equation.source)
             expr_c = self._operand_c(equation.source)
@@ -476,20 +437,15 @@ class _Generator:
         else:
             raise CodeGenerationError(f"unsupported equation {equation!r}")
 
-        python_lines = [f"if {presence}:", f"    {value} = {expr_py}"]
-        if isinstance(equation, DelayEquation):
-            c_lines: List[str] = []
-            op = StepOp(kind="delay", target=name, register=name)
-        else:
-            c_lines = [f"if (C_{name}) {name} = {expr_c};"]
-            op = StepOp(
-                kind="compute",
-                target=name,
-                py_expr=expr_py,
-                array_expr=expr_array,
-                guard=guard,
-            )
-        return _Statement(("v", name), python_lines, c_lines, deps, op)
+        op = StepOp(
+            kind="compute",
+            target=name,
+            py_expr=expr_py,
+            array_expr=expr_array,
+            guard=guard,
+            c_expr=expr_c,
+        )
+        return _Statement(("v", name), op, deps)
 
     # Merge value dependencies are conditional: when the preferred operand is
     # absent its value is not read, so the hard dependency is only on its
@@ -501,25 +457,15 @@ class _Generator:
         return set()
 
     # -- assembly ----------------------------------------------------------------------
-    def build_statements(self) -> List[_Statement]:
+    def schedule(self) -> List[_Statement]:
+        """Order the presence and value statements by their dependencies."""
         signals = self.process.all_signals()
         statements: Dict[Slot, _Statement] = {}
-        candidates: Dict[Slot, List[_Candidate]] = {}
+        candidates: Dict[Slot, List[_Statement]] = {}
 
         for master in self.master_clock_inputs:
             slot = ("v", master)
-            statements[slot] = _Statement(
-                slot,
-                [
-                    "try:",
-                    f"    {_value_var(master)} = io.read({master!r})",
-                    "except EndOfStream:",
-                    "    return False",
-                ],
-                [f"if (!r_{self.process.name}_{master}(&{master})) return FALSE;"],
-                set(),
-                StepOp(kind="master_read", target=master),
-            )
+            statements[slot] = _Statement(slot, StepOp(kind="master_read", target=master))
 
         for name in signals:
             candidates[("p", name)] = self._presence_candidates(name)
@@ -535,23 +481,9 @@ class _Generator:
 
         def try_resolve_presence() -> bool:
             for slot in sorted(pending_presence):
-                name = slot[1]
                 for candidate in candidates[slot]:
                     if candidate.dependencies <= resolved:
-                        order.append(
-                            _Statement(
-                                slot,
-                                [f"{_presence_var(name)} = {candidate.python_expr}"],
-                                [f"C_{name} = {candidate.c_expr};"],
-                                set(candidate.dependencies),
-                                StepOp(
-                                    kind="presence",
-                                    target=name,
-                                    py_expr=candidate.python_expr,
-                                    array_expr=candidate.array_expr,
-                                ),
-                            )
-                        )
+                        order.append(candidate)
                         resolved.add(slot)
                         pending_presence.discard(slot)
                         return True
@@ -588,45 +520,15 @@ class _Generator:
             )
         return order
 
-    def state_updates(self) -> Tuple[List[str], List[str], Dict[str, object]]:
-        python_lines: List[str] = []
-        c_lines: List[str] = []
+    def program(self) -> StepProgram:
+        """The full op stream: the scheduled statements, then the output
+        writes, then the delay-register updates."""
+        ops: List[StepOp] = [statement.op for statement in self.schedule()]
+        ops.extend(StepOp(kind="write", target=name) for name in self.process.outputs)
         initial: Dict[str, object] = {}
         for equation in self.process.equations:
-            if not isinstance(equation, DelayEquation):
-                continue
-            initial[equation.target] = equation.initial
-            python_lines.append(
-                f"if {_presence_var(equation.source)}:"
-            )
-            python_lines.append(
-                f"    state[{equation.target!r}] = {_value_var(equation.source)}"
-            )
-            c_lines.append(f"if (C_{equation.source}) {equation.target} = {equation.source};")
-        return python_lines, c_lines, initial
-
-    def output_writes(self) -> Tuple[List[str], List[str]]:
-        python_lines: List[str] = []
-        c_lines: List[str] = []
-        for name in self.process.outputs:
-            python_lines.append(f"if {_presence_var(name)}:")
-            python_lines.append(f"    io.write({name!r}, {_value_var(name)})")
-            c_lines.append(f"if (C_{name}) w_{self.process.name}_{name}({name});")
-        return python_lines, c_lines
-
-    def step_ops(self, statements: Sequence[_Statement]) -> Tuple[StepOp, ...]:
-        """The full semantic op stream in schedule order.
-
-        Mirrors the layout of the rendered sources exactly: the scheduled
-        statements, then the output writes, then the delay-register updates.
-        """
-        ops: List[StepOp] = [
-            statement.op for statement in statements if statement.op is not None
-        ]
-        for name in self.process.outputs:
-            ops.append(StepOp(kind="write", target=name))
-        for equation in self.process.equations:
             if isinstance(equation, DelayEquation):
+                initial[equation.target] = equation.initial
                 ops.append(
                     StepOp(
                         kind="update",
@@ -635,55 +537,20 @@ class _Generator:
                         source=equation.source,
                     )
                 )
-        return tuple(ops)
+        return StepProgram(
+            process=self.process,
+            ops=tuple(ops),
+            initial_state=initial,
+            master_clock_inputs=tuple(self.master_clock_inputs),
+        )
 
 
-@dataclass
-class CompiledProcess:
-    """A sequentially compiled process: executable step function plus listings."""
-
-    process: NormalizedProcess
-    python_source: str
-    c_source: str
-    initial_state: Dict[str, object]
-    master_clock_inputs: List[str] = field(default_factory=list)
-    _step_function: object = None
-    state: Dict[str, object] = field(default_factory=dict)
-    program: Optional[StepProgram] = None
-
-    def __post_init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Reset the delay registers to their initial values."""
-        self.state = dict(self.initial_state)
-
-    def step(self, io: StreamIO) -> bool:
-        """Execute one reaction; returns False when an input stream ends."""
-        return self._step_function(io, self.state)
-
-    def run(self, io: StreamIO, max_steps: int = 1_000_000) -> int:
-        """Iterate until the step function returns False (paper's simulation main)."""
-        steps = 0
-        while steps < max_steps and self.step(io):
-            steps += 1
-        return steps
-
-    @property
-    def inputs(self) -> Tuple[str, ...]:
-        return tuple(self.process.inputs) + tuple(self.master_clock_inputs)
-
-    @property
-    def outputs(self) -> Tuple[str, ...]:
-        return tuple(self.process.outputs)
-
-
-def compile_process(
+def build_step_program(
     process: Union[NormalizedProcess, ProcessAnalysis],
     master_clocks: bool = False,
     check_compilable: bool = True,
-) -> CompiledProcess:
-    """Generate and compile the sequential step function of a process.
+) -> StepProgram:
+    """Schedule the :class:`StepProgram` of a process.
 
     ``master_clocks=True`` reproduces the *current scheme* of Section 5.1 for
     multi-rooted processes: one boolean master-clock input ``C_<root>`` per
@@ -695,73 +562,30 @@ def compile_process(
             f"process {analysis.process.name!r} is not compilable "
             f"(well_clocked={analysis.is_well_clocked()}, acyclic={analysis.is_acyclic()})"
         )
-    generator = _Generator(analysis, master_clocks)
-    statements = generator.build_statements()
-    update_py, update_c, initial_state = generator.state_updates()
-    writes_py, writes_c = generator.output_writes()
-
-    function_name = f"{analysis.process.name}_iterate"
-    python_lines: List[str] = [f"def {function_name}(io, state):"]
-    body: List[str] = []
-    for statement in statements:
-        body.extend(statement.python_lines)
-    body.extend(writes_py)
-    body.extend(update_py)
-    body.append("return True")
-    python_lines.extend(f"    {line}" for line in body)
-    python_source = "\n".join(python_lines) + "\n"
-
-    c_lines: List[str] = [f"bool {function_name}() {{"]
-    for statement in statements:
-        c_lines.extend(f"  {line}" for line in statement.c_lines)
-    c_lines.extend(f"  {line}" for line in writes_c)
-    c_lines.extend(f"  {line}" for line in update_c)
-    c_lines.append("  return TRUE;")
-    c_lines.append("}")
-    c_source = "\n".join(c_lines) + "\n"
-
-    namespace: Dict[str, object] = {"EndOfStream": EndOfStream}
-    exec(compile(python_source, f"<generated {function_name}>", "exec"), namespace)
-    program = StepProgram(
-        process=analysis.process,
-        ops=generator.step_ops(statements),
-        initial_state=dict(initial_state),
-        master_clock_inputs=tuple(generator.master_clock_inputs),
-    )
-    compiled = CompiledProcess(
-        process=analysis.process,
-        python_source=python_source,
-        c_source=c_source,
-        initial_state=initial_state,
-        master_clock_inputs=list(generator.master_clock_inputs),
-        _step_function=namespace[function_name],
-        program=program,
-    )
-    return compiled
+    return _Generator(analysis, master_clocks).program()
 
 
-def build_step_program(
-    process: Union[NormalizedProcess, ProcessAnalysis],
-    master_clocks: bool = False,
-    check_compilable: bool = True,
-) -> StepProgram:
-    """The scheduled :class:`StepProgram` of a process, without rendering text.
-
-    This is the semantic artefact behind :func:`compile_process`; the
-    specialized and batch runtimes compile it directly.
-    """
-    analysis = process if isinstance(process, ProcessAnalysis) else ProcessAnalysis(process)
-    if check_compilable and not analysis.is_compilable():
-        raise CodeGenerationError(
-            f"process {analysis.process.name!r} is not compilable "
-            f"(well_clocked={analysis.is_well_clocked()}, acyclic={analysis.is_acyclic()})"
-        )
-    generator = _Generator(analysis, master_clocks)
-    statements = generator.build_statements()
-    _update_py, _update_c, initial_state = generator.state_updates()
-    return StepProgram(
-        process=analysis.process,
-        ops=generator.step_ops(statements),
-        initial_state=initial_state,
-        master_clock_inputs=tuple(generator.master_clock_inputs),
-    )
+def render_c(program: StepProgram) -> str:
+    """The C-like listing of a step program, in the style of the paper's figures."""
+    name = program.process.name
+    lines: List[str] = [f"bool {name}_iterate() {{"]
+    for op in program.ops:
+        target = op.target
+        if op.kind == "master_read":
+            lines.append(f"  if (!r_{name}_{target}(&{target})) return FALSE;")
+        elif op.kind == "presence":
+            lines.append(f"  C_{target} = {op.c_expr};")
+        elif op.kind == "read":
+            lines.append(f"  if (C_{target}) {{")
+            lines.append(f"    if (!r_{name}_{target}(&{target})) return FALSE;")
+            lines.append("  }")
+        elif op.kind == "compute":
+            lines.append(f"  if (C_{target}) {target} = {op.c_expr};")
+        elif op.kind == "write":
+            lines.append(f"  if (C_{target}) w_{name}_{target}({target});")
+        elif op.kind == "update":
+            lines.append(f"  if (C_{op.source}) {op.register} = {op.source};")
+        # a "delay" op reads the register in place: C needs no statement
+    lines.append("  return TRUE;")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,15 +1,13 @@
-"""Exec-specialized step functions and the per-step-dispatch reference tier.
+"""The exec-compiled step functions and the per-step-dispatch reference tier.
 
-:func:`repro.codegen.sequential.compile_process` already turns the schedule
-into exec-compiled Python, but the emitted step function still pays per-step
-virtual costs: every ``io.read`` / ``io.write`` is a method dispatch plus a
-dictionary lookup, and every delay register is a ``state[...]`` access.  This
-module compiles the same :class:`~repro.codegen.sequential.StepProgram` one
-tier further down:
+Both tiers execute the :class:`~repro.codegen.sequential.StepProgram` that
+:func:`~repro.codegen.sequential.build_step_program` schedules, so they
+produce byte-identical flows:
 
-* :class:`SpecializedProcess` (``runtime="specialized"``) exec-compiles a
-  *bind* function per process.  Binding an IO object returns a closure whose
-  body is straight-line code with the readers/writers resolved once (through
+* :class:`CompiledProcess` (``runtime="specialized"``, the default) is the
+  paper's ``<name>_iterate`` step function, exec-compiled once per process
+  as a *bind* function.  Binding an IO object returns a closure whose body
+  is straight-line code with the readers/writers resolved once (through
   :meth:`StreamIO.reader` / :meth:`StreamIO.writer` when available) and the
   delay registers held in closure locals, flushed back to the state dict at
   stream end — no per-step dictionary lookups at all.
@@ -17,12 +15,9 @@ tier further down:
 * :class:`InterpretedProcess` (``runtime="interpreter"``) is the opposite
   end of the spectrum: it walks the op stream with one dispatch per
   operation, evaluating pre-compiled expression code objects against a
-  per-step environment.  It is the measured baseline the specialized tier is
+  per-step environment.  It is the measured baseline the compiled tier is
   benchmarked against (``benchmarks/bench_deploy.py``) and a second oracle
   for the differential suite.
-
-Both execute the *same* scheduled ops as the textual listings, so all tiers
-produce byte-identical flows.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from repro.codegen.sequential import (
     CodeGenerationError,
     StepProgram,
     build_step_program,
-    compile_process,
+    render_c,
 )
 from repro.lang.normalize import NormalizedProcess
 from repro.properties.compilable import ProcessAnalysis
@@ -65,9 +60,20 @@ def _bind_writer(io: StreamIO, name: str) -> Callable[[object], None]:
 
 
 def render_bind_source(program: StepProgram) -> str:
-    """The Python source of the bind function for one step program."""
+    """The Python source of the bind function for one step program.
+
+    The bound step closure keeps the paper's name, ``<process>_iterate``.
+    """
     name = program.process.name
     registers = sorted(program.initial_state)
+    bound = (
+        {f"_r_{signal}" for signal in program.inputs}
+        | {f"_w_{signal}" for signal in program.outputs}
+        | {f"s_{register}" for register in registers}
+    )
+    iterate = f"{name}_iterate"
+    while iterate in bound:  # a register or IO local already has the name
+        iterate = f"_{iterate}"
     lines: List[str] = [f"def {name}_bind(io, state):"]
     body: List[str] = []
     for signal in program.inputs:
@@ -81,7 +87,7 @@ def render_bind_source(program: StepProgram) -> str:
         body.extend(f"    state[{register!r}] = s_{register}" for register in registers)
     else:
         body.append("    pass")
-    body.append("def step():")
+    body.append(f"def {iterate}():")
     step_body: List[str] = []
     if registers:
         step_body.append("nonlocal " + ", ".join(f"s_{register}" for register in registers))
@@ -125,43 +131,47 @@ def render_bind_source(program: StepProgram) -> str:
         [
             "def run(limit):",
             "    n = 0",
-            "    while n < limit and step():",
+            f"    while n < limit and {iterate}():",
             "        n += 1",
             "    return n",
-            "return step, run, _sync",
+            f"return {iterate}, run, _sync",
         ]
     )
     lines.extend(f"    {line}" for line in body)
     return "\n".join(lines) + "\n"
 
 
-class SpecializedProcess:
-    """A process compiled to closure-specialized straight-line step code.
+class CompiledProcess:
+    """A sequentially compiled process: the exec-compiled step function.
 
-    Mirrors the surface of :class:`~repro.codegen.sequential.CompiledProcess`
-    (``reset`` / ``step(io)`` / ``run(io)`` / ``state`` / listings) but binds
-    each IO object once: the first ``step``/``run`` against an IO compiles
-    nothing and merely calls the cached closure.  Binding is keyed by IO
-    identity — stepping a different IO flushes the registers of the previous
-    binding and rebinds, so interleaved use stays correct (just slower).
+    ``reset`` / ``step(io)`` / ``run(io)`` / ``state`` drive it;
+    ``python_source`` is the executed bind function and ``c_source`` the
+    paper-style listing, both rendered from ``program``.  Each IO object is
+    bound once: the first ``step``/``run`` against an IO compiles nothing
+    and merely calls the cached closure.  Binding is keyed by IO identity —
+    stepping a different IO flushes the registers of the previous binding
+    and rebinds, so interleaved use stays correct (just slower).
     """
 
     def __init__(
         self,
         program: StepProgram,
         python_source: str,
-        c_source: str,
         bind: Callable[[StreamIO, Dict[str, object]], tuple],
     ):
         self.program = program
         self.process: NormalizedProcess = program.process
         self.python_source = python_source
-        self.c_source = c_source
         self.initial_state: Dict[str, object] = dict(program.initial_state)
         self.master_clock_inputs: List[str] = list(program.master_clock_inputs)
         self._bind = bind
         self._bound: Optional[tuple] = None  # (io, step, run, sync)
         self._state: Dict[str, object] = dict(self.initial_state)
+
+    @property
+    def c_source(self) -> str:
+        """The C-like listing of the same schedule (paper-figure style)."""
+        return render_c(self.program)
 
     # -- state ------------------------------------------------------------------------
     @property
@@ -178,6 +188,7 @@ class SpecializedProcess:
         self._state = dict(value)
 
     def reset(self) -> None:
+        """Reset the delay registers to their initial values."""
         self._bound = None
         self._state = dict(self.initial_state)
 
@@ -192,12 +203,14 @@ class SpecializedProcess:
         return bound
 
     def step(self, io: StreamIO) -> bool:
+        """Execute one reaction; returns False when an input stream ends."""
         bound = self._bound
         if bound is None or bound[0] is not io:
             bound = self._rebind(io)
         return bound[1]()
 
     def run(self, io: StreamIO, max_steps: int = 1_000_000) -> int:
+        """Iterate until the step function returns False (paper's simulation main)."""
         bound = self._bound
         if bound is None or bound[0] is not io:
             bound = self._rebind(io)
@@ -213,32 +226,27 @@ class SpecializedProcess:
         return tuple(self.process.outputs)
 
 
-def compile_specialized(
+def compile_process(
     process: Union[NormalizedProcess, ProcessAnalysis],
     master_clocks: bool = False,
     check_compilable: bool = True,
-) -> SpecializedProcess:
-    """Compile a process to a :class:`SpecializedProcess`.
+) -> CompiledProcess:
+    """Schedule a process once and exec-compile its step function once.
 
-    The C listing is shared with :func:`compile_process` (the schedule is the
-    same); the Python source is the bind function whose closures execute it.
+    ``master_clocks=True`` reproduces the *current scheme* of Section 5.1 for
+    multi-rooted processes: one boolean master-clock input ``C_<root>`` per
+    hierarchy root is added to the interface and read at every step.
     """
-    analysis = process if isinstance(process, ProcessAnalysis) else ProcessAnalysis(process)
-    compiled = compile_process(analysis, master_clocks, check_compilable)
-    program = compiled.program
+    program = build_step_program(process, master_clocks, check_compilable)
     source = render_bind_source(program)
+    bind_name = f"{program.process.name}_bind"
     namespace: Dict[str, object] = {
         "EndOfStream": EndOfStream,
         "_reader": _bind_reader,
         "_writer": _bind_writer,
     }
-    exec(compile(source, f"<specialized {program.process.name}_bind>", "exec"), namespace)
-    return SpecializedProcess(
-        program=program,
-        python_source=source,
-        c_source=compiled.c_source,
-        bind=namespace[f"{program.process.name}_bind"],
-    )
+    exec(compile(source, f"<generated {bind_name}>", "exec"), namespace)
+    return CompiledProcess(program, source, namespace[bind_name])
 
 
 class InterpretedProcess:
@@ -246,7 +254,7 @@ class InterpretedProcess:
 
     Walks the :class:`StepProgram` with pre-compiled expression code objects,
     looking values up in a per-step environment dict — the dynamic baseline
-    that the exec-compiled tiers eliminate.
+    that the exec-compiled tier eliminates.
     """
 
     def __init__(self, program: StepProgram):

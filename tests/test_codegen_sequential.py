@@ -4,7 +4,8 @@ import pytest
 
 from repro.codegen.runtime import EndOfStream, RecordingIO, StreamIO, simulate
 from repro.codegen.clusters import clock_clusters
-from repro.codegen.sequential import CodeGenerationError, compile_process
+from repro.codegen.sequential import CodeGenerationError
+from repro.codegen.specialized import compile_process
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_process, merge_process
@@ -48,10 +49,18 @@ class TestBufferCodegen:
         assert steps == 8  # one read step and one emit step per value
 
     def test_buffer_python_listing_structure(self):
+        """The executed bind source keeps the paper's ``buffer_iterate`` step."""
         compiled = compile_process(normalize(buffer_process()))
-        assert "def buffer_iterate(io, state):" in compiled.python_source
-        assert "io.read('y')" in compiled.python_source
-        assert "io.write('x', v_x)" in compiled.python_source
+        source = compiled.python_source
+        assert "def buffer_bind(io, state):" in source
+        assert "    def buffer_iterate():" in source
+        prologue, step = source.split("def buffer_iterate():")
+        # y is read and x written through callables bound once per IO
+        assert "_r_y = _reader(io, 'y')" in prologue
+        assert "_w_x = _writer(io, 'x')" in prologue
+        assert "v_y = _r_y()" in step
+        assert "_w_x(v_x)" in step
+        assert "return buffer_iterate, run, _sync" in step
 
     def test_buffer_c_listing_matches_paper_shape(self):
         """The generated C-like code reads y at [¬t], writes x at [t], updates s."""

@@ -1,10 +1,14 @@
-"""The exec-specialized execution tier: differential coverage and hot-path IO.
+"""The exec-compiled execution tier: differential coverage and hot-path IO.
 
-The specialized tier binds IO callables and delay registers into one exec
-compiled closure per process; the per-op dispatch interpreter is the
-reference it is measured against.  Every test here pins the tier contract:
-*identical flows* across ``compiled`` / ``specialized`` / ``interpreter``
-(and ``batched`` where applicable) for the same design and inputs.
+The specialized tier (:func:`~repro.codegen.specialized.compile_process`)
+binds IO callables and delay registers into one exec-compiled closure per
+process; the per-op dispatch interpreter is the reference it is measured
+against.  Every test here pins the tier contract: *identical flows* across
+``specialized`` / ``interpreter`` (and ``batched`` where applicable) for the
+same design and inputs.  Where every input is present at every reaction,
+the flows are also checked against the independent operational
+:class:`~repro.semantics.interpreter.SignalInterpreter`, which shares no
+code with the step-program tiers.
 """
 
 from __future__ import annotations
@@ -15,19 +19,20 @@ from hypothesis import given, settings, strategies as st
 from repro import Design
 from repro.api.deploy import DeploymentError
 from repro.codegen.runtime import EndOfStream, RecordingIO, StreamIO
-from repro.codegen.sequential import build_step_program, compile_process
+from repro.codegen.sequential import build_step_program
 from repro.codegen.specialized import (
+    CompiledProcess,
     InterpretedProcess,
-    SpecializedProcess,
     compile_interpreted,
-    compile_specialized,
+    compile_process,
     render_bind_source,
 )
-from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
+from repro.lang.builder import ProcessBuilder, signal
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_process
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.semantics.interpreter import SignalInterpreter
 
 
 @pytest.fixture
@@ -44,6 +49,33 @@ def run_io(engine, inputs):
     io = StreamIO({name: list(values) for name, values in inputs.items()})
     steps = engine.run(io)
     return steps, {name: io.output(name) for name in engine.outputs}
+
+
+def replay(process, inputs):
+    """The output flows of ``process`` under the operational semantics.
+
+    Only for feeds where every input is present at every reaction: reaction
+    ``k`` reads element ``k`` of each input stream."""
+    interpreter = SignalInterpreter(process)
+    outputs = {name: [] for name in process.outputs}
+    steps = min((len(inputs[name]) for name in process.inputs), default=0)
+    for step in range(steps):
+        result = interpreter.step({name: inputs[name][step] for name in process.inputs})
+        for name in process.outputs:
+            if result.present(name):
+                outputs[name].append(result.value(name))
+    return outputs
+
+
+def buffer_oracle(process, inputs):
+    """The buffer is a one-place FIFO: one read and one emit step per value."""
+    values = list(inputs["y"])
+    return 2 * len(values), {"x": values}
+
+
+def filter_oracle(process, inputs):
+    """The filter reads ``y`` at every reaction, so the interpreter replays it."""
+    return len(inputs["y"]), replay(process, inputs)
 
 
 class TestStreamIOHotPath:
@@ -85,44 +117,41 @@ class TestStreamIOHotPath:
 
 
 class TestSpecializedDifferential:
-    """specialized == compiled == interpreter on the paper's processes."""
+    """specialized == interpreter == an independent oracle on the paper's processes."""
 
     CASES = [
         (buffer_process, {"y": [3, 1, 4, 1, 5, 9]}),
         (filter_process, {"y": [True, False, True, True, False]}),
     ]
+    ORACLES = {"buffer": buffer_oracle, "filter": filter_oracle}
 
     @pytest.mark.parametrize("factory,inputs", CASES)
     def test_three_tiers_agree(self, factory, inputs):
         process = normalize(factory())
-        engines = [
-            compile_process(process),
-            compile_specialized(process),
-            compile_interpreted(process),
-        ]
-        results = [run_io(engine, inputs) for engine in engines]
-        assert results[0] == results[1] == results[2]
+        reference = run_io(compile_interpreted(process), inputs)
+        assert run_io(compile_process(process), inputs) == reference
+        assert reference == self.ORACLES[process.name](process, inputs)
 
     @pytest.mark.parametrize("factory,inputs", CASES)
     def test_specialized_is_repeatable(self, factory, inputs):
-        engine = compile_specialized(normalize(factory()))
+        engine = compile_process(normalize(factory()))
         assert run_io(engine, inputs) == run_io(engine, inputs)
 
     @settings(max_examples=40, deadline=None)
     @given(stream=st.lists(st.booleans(), max_size=24))
     def test_filter_differential_hypothesis(self, stream):
         process = normalize(filter_process())
-        reference = run_io(compile_process(process), {"y": stream})
-        assert run_io(compile_specialized(process), {"y": stream}) == reference
-        assert run_io(compile_interpreted(process), {"y": stream}) == reference
+        reference = run_io(compile_interpreted(process), {"y": stream})
+        assert run_io(compile_process(process), {"y": stream}) == reference
+        assert reference == filter_oracle(process, {"y": stream})
 
     @settings(max_examples=40, deadline=None)
     @given(stream=st.lists(st.integers(-2**31, 2**31), max_size=24))
     def test_buffer_differential_hypothesis(self, stream):
         process = normalize(buffer_process())
-        reference = run_io(compile_process(process), {"y": stream})
-        assert run_io(compile_specialized(process), {"y": stream}) == reference
-        assert run_io(compile_interpreted(process), {"y": stream}) == reference
+        reference = run_io(compile_interpreted(process), {"y": stream})
+        assert run_io(compile_process(process), {"y": stream}) == reference
+        assert reference == buffer_oracle(process, {"y": stream})
 
 
 class TestBindSource:
@@ -131,15 +160,26 @@ class TestBindSource:
         source = render_bind_source(program)
         assert f"def {program.process.name}_bind(io, state):" in source
         # readers/writers are bound in the closure prologue, not per step
-        prologue = source.split("def step():")[0]
+        prologue = source.split("def buffer_iterate():")[0]
         assert "_reader(io, 'y')" in prologue
         assert "_writer(io, 'x')" in prologue
 
     def test_specialized_exposes_program_and_source(self):
-        engine = compile_specialized(normalize(buffer_process()))
-        assert isinstance(engine, SpecializedProcess)
+        engine = compile_process(normalize(buffer_process()))
+        assert isinstance(engine, CompiledProcess)
         assert engine.inputs == ("y",)
-        assert "bind" in engine.python_source
+        assert "def buffer_bind(io, state):" in engine.python_source
+        # the step closure keeps the paper's transition-function name
+        assert "def buffer_iterate():" in engine.python_source
+
+    def test_step_name_avoids_a_register_of_the_same_name(self):
+        # process ``s`` holds its delay register ``iterate`` in ``s_iterate``
+        builder = ProcessBuilder("s", inputs=["y"], outputs=["iterate"])
+        builder.define("iterate", signal("y").pre(0))
+        engine = compile_process(normalize(builder.build()))
+        assert "s_iterate = state['iterate']" in engine.python_source
+        assert "def _s_iterate():" in engine.python_source
+        assert run_io(engine, {"y": [5, 6, 7]}) == (3, {"iterate": [0, 5, 6]})
 
     def test_interpreted_runs_same_program(self):
         engine = compile_interpreted(normalize(buffer_process()))
@@ -163,7 +203,7 @@ class TestDesignRuntimes:
     def test_sequential_tiers_agree(self, producer_consumer):
         design = self.design(producer_consumer)
         flows = []
-        for runtime in ("compiled", "specialized", "interpreter"):
+        for runtime in ("interpreter", "specialized", "batched"):
             deployment = design.compile(
                 "sequential", runtime=runtime, master_clocks=True
             )
@@ -173,20 +213,26 @@ class TestDesignRuntimes:
             flows.append(deployment.run(feed))
         assert flows[0] == flows[1] == flows[2]
         assert flows[0]["v"]  # the composition produced something
+        # every master clock ticks, so a and b are read at every reaction
+        assert flows[0] == replay(design.composition, self.INPUTS)
 
     @pytest.mark.parametrize("strategy", ["controlled", "concurrent"])
     def test_compositional_tiers_agree(self, producer_consumer, strategy):
         design = self.design(producer_consumer)
-        reference = design.compile(strategy, runtime="compiled").run(dict(self.INPUTS))
-        for runtime in ("specialized", "interpreter"):
-            assert (
-                design.compile(strategy, runtime=runtime).run(dict(self.INPUTS))
-                == reference
-            )
+        reference = design.compile(strategy, runtime="interpreter").run(dict(self.INPUTS))
+        assert reference["v"]
+        assert (
+            design.compile(strategy, runtime="specialized").run(dict(self.INPUTS))
+            == reference
+        )
 
-    def test_unknown_runtime_is_rejected(self, producer_consumer):
-        with pytest.raises(DeploymentError, match="unknown runtime"):
-            self.design(producer_consumer).compile("sequential", runtime="warp")
+    @pytest.mark.parametrize("runtime", ["warp", "compiled"])
+    def test_unknown_runtime_is_rejected(self, producer_consumer, runtime):
+        with pytest.raises(DeploymentError, match="unknown runtime") as error:
+            self.design(producer_consumer).compile("sequential", runtime=runtime)
+        message = str(error.value)
+        for tier in ("specialized", "interpreter", "batched"):
+            assert repr(tier) in message
 
     def test_batched_requires_sequential_strategy(self, producer_consumer):
         with pytest.raises(DeploymentError, match="sequential strategy only"):

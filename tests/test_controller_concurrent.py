@@ -10,7 +10,7 @@ from repro.codegen.controller import (
     synthesize_controller,
 )
 from repro.codegen.runtime import StreamIO
-from repro.codegen.sequential import compile_process
+from repro.codegen.specialized import compile_process
 from repro.library.controllers import rendezvous_controller_process, scheduler_process
 from repro.lang.normalize import normalize
 from repro.properties.composition import check_weakly_hierarchic

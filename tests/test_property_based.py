@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd.bdd import BDDManager
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_process
-from repro.codegen.sequential import compile_process
+from repro.codegen.specialized import compile_process
 from repro.codegen.runtime import StreamIO
 from repro.mocc.behaviors import Behavior, clock_equivalent, flow_equivalent
 from repro.mocc.reactions import Reaction, independent, merge_reactions
