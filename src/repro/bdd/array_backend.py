@@ -14,9 +14,11 @@ verbatim.  What changes is the hot paths:
   array-backed computed cache when the operand graphs are large;
 * ``restrict`` gets the same treatment (unary version of the same
   machinery);
-* ``satisfy_matrix`` is a vectorized level-ordered row expansion — the
-  compiled reaction sweep's enumeration loop becomes a handful of numpy
-  calls per variable instead of a Python generator frame per branch.
+* ``satisfy_matrix`` is a vectorized level-ordered row expansion, and
+  ``cofactor_matrix`` (the compiled reaction sweep's per-state
+  enumeration) is the hybrid ``restrict`` followed by that expansion — a
+  handful of numpy calls per variable instead of a Python frame per
+  branch.
 
 Nothing observable changes: assignments and their order, counts, supports
 and ``dump`` bytes are identical to the reference backend (the canonical
@@ -697,6 +699,12 @@ class ArrayBackend(BDDManager):
         column_of = {name: column for column, name in enumerate(ordered)}
         permutation = [column_of[name] for name in names]
         return bits[:, permutation].tolist()
+
+    def cofactor_matrix(
+        self, node: BDD, fixed: Mapping[str, bool], variables: Sequence[str]
+    ) -> List[List[bool]]:
+        """The hybrid cofactor, then the vectorized row expansion over it."""
+        return self.satisfy_matrix(self.restrict(node, fixed), variables)
 
     # -- maintenance overrides -----------------------------------------------------
     def clear_caches(self) -> None:

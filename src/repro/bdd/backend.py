@@ -72,11 +72,18 @@ class BDDBackend(Protocol):
     The protocol is the *manager* surface: node construction
     (``var``/``ite``/``apply``), cofactors and quantification, the
     enumeration family (``satisfy_one``/``satisfy_all``/``satisfy_matrix``/
-    ``count``), serialization (``dump``/``load``) and the maintenance hooks
-    (``collect_garbage``/``reorder``/``sift``).  Handles stay the shared
-    :class:`~repro.bdd.bdd.BDD` value type, which delegates every operation
-    back to its manager — so a backend only ever implements manager
-    methods, and engines never branch on the backend in use.
+    ``cofactor_matrix``/``count``), serialization (``dump``/``load``) and
+    the maintenance hooks (``collect_garbage``/``reorder``/``sift``).
+    Handles stay the shared :class:`~repro.bdd.bdd.BDD` value type, which
+    delegates every operation back to its manager — so a backend only ever
+    implements manager methods, and engines never branch on the backend in
+    use.
+
+    ``exists``/``forall`` and an order-preserving ``rename`` are one
+    memoized walk each in the reference kernel (a backend inheriting them
+    gets the same one-pass behaviour).  Only public ``apply`` calls count
+    towards the ``apply_calls`` counter: quantification combines children
+    through the internal ``_apply`` and does not add to it.
 
     Beyond the signatures, implementations owe three behavioural
     guarantees (enforced by ``tests/test_backend_differential.py``):
@@ -84,7 +91,11 @@ class BDDBackend(Protocol):
     * **semantics** — identical truth tables, counts and supports;
     * **enumeration order** — ``satisfy_all`` / ``satisfy_matrix`` yield
       assignments in the reference order (manager level order, ``False``
-      branch before ``True``);
+      branch before ``True``), and ``cofactor_matrix(node, fixed,
+      variables)`` returns exactly the rows of
+      ``satisfy_matrix(restrict(node, fixed), variables)`` — the reference
+      kernel walks ``node`` without building the cofactor, the array kernel
+      restricts and expands vectorized;
     * **canonical serialization** — ``dump`` emits the canonical
       depth-first postorder, so equal functions produce byte-identical
       payloads (and therefore equal artifact digests) on every backend.
@@ -143,6 +154,10 @@ class BDDBackend(Protocol):
     ) -> Iterator[Dict[str, bool]]: ...
 
     def satisfy_matrix(self, node: BDD, variables: Sequence[str]) -> List[List[bool]]: ...
+
+    def cofactor_matrix(
+        self, node: BDD, fixed: Mapping[str, bool], variables: Sequence[str]
+    ) -> List[List[bool]]: ...
 
     def count(self, node: BDD, variables: Optional[Sequence[str]] = None) -> int: ...
 

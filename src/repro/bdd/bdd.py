@@ -8,6 +8,9 @@ The implementation follows the classical Bryant construction:
 * quantification, restriction (cofactors), substitution of variables by
   functions (``compose``) and satisfying-assignment enumeration are provided,
   which is all the clock calculus and the symbolic model checker need.
+  Quantification and order-preserving renaming are one memoized walk each,
+  and :meth:`BDDManager.cofactor_matrix` enumerates a cofactor's
+  assignments without building it.
 
 Variables are referred to by name; their order is the order of registration
 with :meth:`BDDManager.declare` (callers that care about ordering declare
@@ -200,7 +203,8 @@ class BDDManager:
         self.cache_evictions = 0
         self.gc_runs = 0
         self.reorder_runs = 0
-        # kernel profiling counters (surfaced per-span by repro.obs)
+        # kernel profiling counters (surfaced per-span by repro.obs);
+        # apply_calls counts public apply() calls, not internal combines
         self.apply_calls = 0
         self.apply_cache_lookups = 0
         self.apply_cache_hits = 0
@@ -411,6 +415,8 @@ class BDDManager:
             for name, value in assignment.items()
             if name in self._levels_by_name
         }
+        if not by_level:
+            return node
         cache: Dict[int, int] = {}
 
         def walk(index: int) -> int:
@@ -430,71 +436,125 @@ class BDDManager:
 
     def exists(self, node: BDD, variables: Iterable[str]) -> BDD:
         """Existential quantification over the given variables."""
-        result = node
-        for name in variables:
-            if name not in self._levels_by_name:
-                continue
-            low = self.restrict(result, {name: False})
-            high = self.restrict(result, {name: True})
-            result = low | high
-        return result
+        return BDD(self, self._quantify("or", node.index, variables))
 
     def forall(self, node: BDD, variables: Iterable[str]) -> BDD:
         """Universal quantification over the given variables."""
-        result = node
-        for name in variables:
-            if name not in self._levels_by_name:
-                continue
-            low = self.restrict(result, {name: False})
-            high = self.restrict(result, {name: True})
-            result = low & high
-        return result
+        return BDD(self, self._quantify("and", node.index, variables))
+
+    def _quantify(self, operation: str, root: int, variables: Iterable[str]) -> int:
+        """One memoized walk: children combine with ``operation`` at quantified
+        levels, and nodes below the deepest quantified level come back as is.
+
+        ``or`` stops at a ``TRUE`` low child and ``and`` at a ``FALSE`` one —
+        the high child cannot change the result.
+        """
+        quantified = {
+            self._levels_by_name[name] for name in variables if name in self._levels_by_name
+        }
+        if not quantified:
+            return root
+        deepest = max(quantified)
+        absorbing = self.TRUE_INDEX if operation == "or" else self.FALSE_INDEX
+        levels, lows, highs = self._levels, self._lows, self._highs
+        cache: Dict[int, int] = {}
+
+        def walk(index: int) -> int:
+            level = levels[index]
+            if level > deepest:
+                return index
+            cached = cache.get(index)
+            if cached is not None:
+                return cached
+            low = walk(lows[index])
+            if level in quantified:
+                if low == absorbing:
+                    result = low
+                else:
+                    result = self._apply(operation, low, walk(highs[index]))
+            else:
+                result = self._make_node(level, low, walk(highs[index]))
+            cache[index] = result
+            return result
+
+        return walk(root)
 
     def compose(self, node: BDD, substitution: Mapping[str, BDD]) -> BDD:
-        """Substitute variables by boolean functions."""
+        """Substitute variables by boolean functions, one after the other."""
         result = node
         for name, function in substitution.items():
             if name not in self._levels_by_name:
                 continue
-            variable = self.var(name)
             high = self.restrict(result, {name: True})
             low = self.restrict(result, {name: False})
             result = self.ite(function, high, low)
         return result
 
     def rename(self, node: BDD, renaming: Mapping[str, str]) -> BDD:
-        """Rename variables (target variables must not clash with remaining support)."""
-        substitution = {source: self.var(target) for source, target in renaming.items()}
-        return self.compose(node, substitution)
+        """Rename variables, with the meaning of :meth:`compose` by variables.
+
+        When the renaming maps the support strictly monotonically onto the
+        level order, and no target is in the support or renamed itself, the
+        result is a relabelling of ``node``: one memoized walk, no cofactors.
+        Otherwise (a target already in the support, an order inversion, a
+        chain ``a -> b -> c``) the renaming substitutes through
+        :meth:`compose`.
+        """
+        for target in renaming.values():
+            self.declare(target)
+        moved = {
+            self._levels_by_name[source]: self._levels_by_name[target]
+            for source, target in renaming.items()
+            if source in self._levels_by_name and source != target
+        }
+        support = sorted({self._levels[index] for index in self._internal_nodes(node.index)})
+        relabel = {level: moved.get(level, level) for level in support}
+        images = [relabel[level] for level in support]
+        # strictly increasing images also rule out a target already in the
+        # support (it would appear twice); a renamed target would be renamed
+        # again by the sequential substitution
+        order_preserving = all(low < high for low, high in zip(images, images[1:]))
+        chained = any(moved[level] in moved for level in support if level in moved)
+        if not order_preserving or chained:
+            substitution = {source: self.var(target) for source, target in renaming.items()}
+            return self.compose(node, substitution)
+        levels, lows, highs = self._levels, self._lows, self._highs
+        cache: Dict[int, int] = {self.FALSE_INDEX: self.FALSE_INDEX, self.TRUE_INDEX: self.TRUE_INDEX}
+
+        def walk(index: int) -> int:
+            cached = cache.get(index)
+            if cached is not None:
+                return cached
+            result = self._make_node(
+                relabel[levels[index]], walk(lows[index]), walk(highs[index])
+            )
+            cache[index] = result
+            return result
+
+        return BDD(self, walk(node.index))
 
     # -- queries -----------------------------------------------------------------
-    def support(self, node: BDD) -> FrozenSet[str]:
-        """The set of variables the function actually depends on."""
+    def _internal_nodes(self, root: int) -> Set[int]:
+        """The non-terminal nodes reachable from ``root``."""
         seen: Set[int] = set()
-        levels: Set[int] = set()
-        stack = [node.index]
+        stack = [root]
         while stack:
             index = stack.pop()
             if index in seen or index in (self.TRUE_INDEX, self.FALSE_INDEX):
                 continue
             seen.add(index)
-            levels.add(self._levels[index])
             stack.append(self._lows[index])
             stack.append(self._highs[index])
+        return seen
+
+    def support(self, node: BDD) -> FrozenSet[str]:
+        """The set of variables the function actually depends on."""
+        levels = {self._levels[index] for index in self._internal_nodes(node.index)}
         return frozenset(self._names[level] for level in levels)
 
     def node_count(self, node: BDD) -> int:
         """Number of distinct internal nodes of the BDD rooted at ``node``."""
-        seen: Set[int] = set()
-        stack = [node.index]
-        while stack:
-            index = stack.pop()
-            if index in seen or index in (self.TRUE_INDEX, self.FALSE_INDEX):
-                continue
-            seen.add(index)
-            stack.append(self._lows[index])
-            stack.append(self._highs[index])
-        return len(seen)
+        return len(self._internal_nodes(node.index))
 
     def satisfy_one(self, node: BDD) -> Optional[Dict[str, bool]]:
         """One satisfying assignment over the support, or None if unsatisfiable."""
@@ -564,14 +624,105 @@ class BDDManager:
         backend-differential suite pins), decoded positionally instead of
         into dicts; bulk consumers like the compiled reaction sweep index
         columns once instead of hashing variable names per solution.  The
-        reference implementation *is* the satisfy_all walk; vectorized
-        backends override this with a level-synchronized array expansion.
+        reference implementation is :meth:`cofactor_matrix` with nothing
+        fixed; vectorized backends override this with a level-synchronized
+        array expansion.
+        """
+        return self.cofactor_matrix(node, {}, variables)
+
+    def cofactor_matrix(
+        self, node: BDD, fixed: Mapping[str, bool], variables: Sequence[str]
+    ) -> List[List[bool]]:
+        """``satisfy_matrix(restrict(node, fixed), variables)`` without the cofactor.
+
+        Same rows in the same order, and the same ``ValueError`` when
+        ``variables`` does not cover the cofactor's support; names in
+        ``fixed`` unknown to the manager are ignored, as by :meth:`restrict`.
+        The walk follows the fixed branch at fixed levels and prunes every
+        node whose cofactor is ``FALSE`` (one memoized liveness pass), so
+        it creates no node and its cost is proportional to the rows emitted
+        plus the nodes the fixed assignment reaches.  The compiled reaction
+        engine enumerates each state's reactions with it.
         """
         names = tuple(variables)
-        return [
-            [assignment[name] for name in names]
-            for assignment in self.satisfy_all(node, names)
-        ]
+        levels_by_name = self._levels_by_name
+        by_level = {
+            levels_by_name[name]: bool(value)
+            for name, value in fixed.items()
+            if name in levels_by_name
+        }
+        columns = set(names)
+        # every declared variable that is neither fixed nor a column could be
+        # in the cofactor's support: only then is the cofactor built, to
+        # decide coverage exactly
+        if any(name not in columns and name not in fixed for name in self._names):
+            missing = self.support(self.restrict(node, fixed)) - columns
+            if missing:
+                raise ValueError(
+                    f"satisfy_all variables must cover the support; missing {sorted(missing)}"
+                )
+        levels, lows, highs = self._levels, self._lows, self._highs
+        false = self.FALSE_INDEX
+        # a node is live when its cofactor is not FALSE; below the deepest
+        # fixed level a node is its own cofactor, and in a reduced BDD every
+        # node but FALSE reaches TRUE, so only the nodes above are marked
+        deepest = max(by_level, default=-1)
+        live: Dict[int, bool] = {}
+
+        def mark(index: int) -> bool:
+            level = levels[index]
+            if level > deepest:
+                return index != false
+            cached = live.get(index)
+            if cached is None:
+                value = by_level.get(level)
+                if value is None:
+                    low_live = mark(lows[index])
+                    cached = mark(highs[index]) or low_live
+                else:
+                    cached = mark(highs[index] if value else lows[index])
+                live[index] = cached
+            return cached
+
+        ordered = sorted(names, key=lambda name: levels_by_name.get(name, self.TERMINAL_LEVEL))
+        column_levels = [levels_by_name.get(name, self.TERMINAL_LEVEL) for name in ordered]
+        column_of = {name: column for column, name in enumerate(ordered)}
+        permutation = [column_of[name] for name in names]
+        width = len(ordered)
+        values = [False] * width
+        rows: List[List[bool]] = []
+
+        def walk(index: int, position: int) -> None:
+            if position == width:
+                rows.append([values[column] for column in permutation])
+                return
+            level = column_levels[position]
+            # settle the levels above this column: a fixed level takes its
+            # branch; any other is outside the cofactor's support (the
+            # coverage check above), so either branch denotes the same cofactor
+            node_level = levels[index]
+            while node_level < level or (node_level == level and node_level in by_level):
+                value = by_level.get(node_level)
+                index = highs[index] if value else lows[index]
+                node_level = levels[index]
+            if node_level == level:
+                low, high = lows[index], highs[index]
+            else:
+                low = high = index  # don't care on this column
+            if live.get(low, low != false):
+                values[position] = False
+                walk(low, position + 1)
+            if live.get(high, high != false):
+                values[position] = True
+                walk(high, position + 1)
+
+        if mark(node.index):
+            walk(node.index, 0)
+        # the two closures reference themselves: unbinding them frees the
+        # memo and the closures by reference counting, per call, instead of
+        # leaving a cycle for the collector on the per-state hot path
+        del mark, walk
+        return rows
 
     def count(self, node: BDD, variables: Optional[Sequence[str]] = None) -> int:
         """Number of satisfying assignments over ``variables`` (default: support)."""

@@ -14,12 +14,16 @@ BDD over event, value and register variables —
   reaction is exactly one satisfying assignment);
 * ``s·r`` / ``s'·r`` — the current / next value of boolean register ``r``
 
-— and ``reactions(state)`` becomes ``step.restrict(state)`` followed by the
-output-sensitive :meth:`~repro.bdd.bdd.BDDManager.satisfy_all` walk: the
-cost per state is proportional to the number of *admissible* reactions, not
-to the number of candidates, and **zero interpreter evaluations** happen on
-the per-state path (``tests/test_compiled.py`` pins this on the
-interpreter's instrumentation counter).
+— and ``reactions(state)`` becomes one
+:meth:`~repro.bdd.bdd.BDDManager.cofactor_matrix` call: the satisfying
+assignments of the step relation with the current-state variables fixed to
+``state``, enumerated output-sensitively straight off the relation (the
+reference kernel builds no cofactor, so exploring every state leaves the
+private manager exactly as compiled).  The cost per state is proportional
+to the number of *admissible* reactions, not to the number of candidates,
+and **zero interpreter evaluations** happen on the per-state path
+(``tests/test_compiled.py`` pins this on the interpreter's instrumentation
+counter).
 
 The engine compiles the fragment of the abstraction whose boolean values
 are boolean-definable: processes whose boolean signals are computed by
@@ -468,20 +472,21 @@ class CompiledAbstraction:
     def reactions(self, state: State) -> List[Tuple[Reaction, State]]:
         """The admissible reactions from ``state`` with their successor states.
 
-        One cofactor on the register variables, then the output-sensitive
-        satisfying-assignment enumeration — as a matrix
-        (:meth:`~repro.bdd.bdd.BDDManager.satisfy_matrix`), decoded by the
-        column indices fixed in :meth:`_precompute_columns`: no candidate
-        generation, no rejected activations, no interpreter, no per-row
-        dictionaries.  Like :meth:`BooleanAbstraction.reactions`, this does
-        not memoize — the lazy LTS layer
-        (:class:`~repro.mc.onthefly.LazyReactionLTS`) caches successor sets
-        per state for both engines.
+        The output-sensitive satisfying-assignment enumeration of the step
+        relation with the register variables fixed to ``state`` — as a
+        matrix (:meth:`~repro.bdd.bdd.BDDManager.cofactor_matrix`), decoded
+        by the column indices fixed in :meth:`_precompute_columns`: no
+        candidate generation, no rejected activations, no interpreter, no
+        per-row dictionaries, and on the reference kernel no cofactor node.
+        Like :meth:`BooleanAbstraction.reactions`, this does not memoize —
+        the lazy LTS layer (:class:`~repro.mc.onthefly.LazyReactionLTS`)
+        caches successor sets per state for both engines.
         """
         assignment = {current_variable(name): bool(value) for name, value in state}
-        cofactor = self.step.restrict(assignment)
         results: List[Tuple[Reaction, State]] = []
-        for row in cofactor.satisfy_matrix(self._enumerate_variables):
+        for row in self.manager.cofactor_matrix(
+            self.step, assignment, self._enumerate_variables
+        ):
             events: Dict[str, object] = {}
             for name, event_column, value_column in self._signal_columns:
                 if row[event_column]:

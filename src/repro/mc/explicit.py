@@ -42,8 +42,13 @@ class ExplicitStateChecker:
     def __init__(self, lts: ReactionLTS):
         self.lts = lts
         self._transitions_by_state: Dict[State, List[Transition]] = {}
+        # reaction -> target per state; the first transition with a reaction wins
+        self._targets_by_state: Dict[State, Dict[Reaction, State]] = {}
         for transition in lts.transitions:
             self._transitions_by_state.setdefault(transition.source, []).append(transition)
+            self._targets_by_state.setdefault(transition.source, {}).setdefault(
+                transition.reaction, transition.target
+            )
 
     @property
     def process_name(self) -> str:
@@ -67,13 +72,10 @@ class ExplicitStateChecker:
         return [reaction for reaction in self.reactions_from(state) if not reaction.is_silent()]
 
     def successor(self, state: State, reaction: Reaction) -> Optional[State]:
-        for transition in self.transitions_from(state):
-            if transition.reaction == reaction:
-                return transition.target
-        return None
+        return self._targets_by_state.get(state, {}).get(reaction)
 
     def enables(self, state: State, reaction: Reaction) -> bool:
-        return self.successor(state, reaction) is not None
+        return reaction in self._targets_by_state.get(state, {})
 
     # -- generic invariant checking --------------------------------------------------
     def check_state_invariant(

@@ -293,6 +293,11 @@ class OnTheFlyChecker:
         self._order: List[State] = [lazy.initial]
         self._seen: Set[State] = {lazy.initial}
         self._transitions: Dict[State, Tuple[Transition, ...]] = {}
+        # built once per expanded state: its reactions, the non-silent ones,
+        # and reaction -> target (the first transition with a reaction wins)
+        self._reactions: Dict[State, Tuple[Reaction, ...]] = {}
+        self._non_silent: Dict[State, Tuple[Reaction, ...]] = {}
+        self._targets: Dict[State, Dict[Reaction, State]] = {}
 
     @property
     def process_name(self) -> str:
@@ -325,7 +330,7 @@ class OnTheFlyChecker:
         self._order.append(state)
 
     # -- the explicit-checker interface -----------------------------------------
-    def transitions_from(self, state: State) -> List[Transition]:
+    def transitions_from(self, state: State) -> Tuple[Transition, ...]:
         cached = self._transitions.get(state)
         if cached is None:
             successors = self.lazy.successors(state)
@@ -333,26 +338,36 @@ class OnTheFlyChecker:
                 Transition(source=state, reaction=reaction, target=target)
                 for reaction, target in successors
             )
+            reactions = tuple(reaction for reaction, _target in successors)
+            targets: Dict[Reaction, State] = {}
+            for reaction, target in successors:
+                targets.setdefault(reaction, target)
             self._transitions[state] = cached
+            self._reactions[state] = reactions
+            self._non_silent[state] = tuple(
+                reaction for reaction in reactions if not reaction.is_silent()
+            )
+            self._targets[state] = targets
             self.transitions_expanded += len(cached)
             for _reaction, target in successors:
                 self._discover(target)
-        return list(cached)
+        return cached
 
-    def reactions_from(self, state: State) -> List[Reaction]:
-        return [transition.reaction for transition in self.transitions_from(state)]
+    def reactions_from(self, state: State) -> Tuple[Reaction, ...]:
+        self.transitions_from(state)
+        return self._reactions[state]
 
-    def non_silent_reactions_from(self, state: State) -> List[Reaction]:
-        return [reaction for reaction in self.reactions_from(state) if not reaction.is_silent()]
+    def non_silent_reactions_from(self, state: State) -> Tuple[Reaction, ...]:
+        self.transitions_from(state)
+        return self._non_silent[state]
 
     def successor(self, state: State, reaction: Reaction) -> Optional[State]:
-        for transition in self.transitions_from(state):
-            if transition.reaction == reaction:
-                return transition.target
-        return None
+        self.transitions_from(state)
+        return self._targets[state].get(reaction)
 
     def enables(self, state: State, reaction: Reaction) -> bool:
-        return self.successor(state, reaction) is not None
+        self.transitions_from(state)
+        return reaction in self._targets[state]
 
     def iter_states(self) -> Iterator[State]:
         """Breadth-first stream of reachable states, expanding as it goes.

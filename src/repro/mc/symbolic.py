@@ -24,7 +24,8 @@ The transition relations are built over four groups of BDD variables:
   so that two components sharing a boolean signal agree on its value, not
   just its clock).
 
-Reachability is the usual image fixpoint; invariants are checked on the
+Reachability is the usual image fixpoint, computed once per checker and
+memoized; invariants, counts and node totals are all read off that one
 reachable set.
 """
 
@@ -52,6 +53,19 @@ def event_variable(signal: str) -> str:
 
 def value_variable(signal: str) -> str:
     return f"d·{signal}"
+
+
+def _image_fixpoint(
+    manager: BDDManager, initial: BDD, image, max_iterations: int, what: str
+) -> BDD:
+    """The least fixpoint of ``reached | image(reached)`` from ``initial``."""
+    reached = initial
+    for _ in range(max_iterations):
+        extended = reached | image(reached)
+        if manager.equivalent(extended, reached):
+            return reached
+        reached = extended
+    raise RuntimeError(f"{what} fixpoint did not converge")
 
 
 class SymbolicChecker:
@@ -89,6 +103,7 @@ class SymbolicChecker:
         self._explored = self.manager.false
         for state in lts.states:
             self._explored = self._explored | self._encode_state(state, current_variable)
+        self._reachable: Optional[BDD] = None
 
     # -- encoding ----------------------------------------------------------------
     def _collect_signals(self) -> Tuple[str, ...]:
@@ -158,14 +173,13 @@ class SymbolicChecker:
         return step.rename(renaming) & self._explored
 
     def reachable_states(self, max_iterations: int = 10_000) -> BDD:
-        """Least fixpoint of the image starting from the initial states."""
-        reached = self._initial
-        for _ in range(max_iterations):
-            extended = reached | self.image(reached)
-            if self.manager.equivalent(extended, reached):
-                return reached
-            reached = extended
-        raise RuntimeError("reachability fixpoint did not converge")
+        """Least fixpoint of the image starting from the initial states
+        (computed on the first call, then memoized)."""
+        if self._reachable is None:
+            self._reachable = _image_fixpoint(
+                self.manager, self._initial, self.image, max_iterations, "reachability"
+            )
+        return self._reachable
 
     def reachable_count(self) -> int:
         variables = [current_variable(register) for register in self._registers]
@@ -291,6 +305,7 @@ class SymbolicProductChecker:
             for register, value in lts.initial:
                 variable = self.manager.var(current_variable(register))
                 self._initial = self._initial & (variable if bool(value) else ~variable)
+        self._reachable: Optional[BDD] = None
 
     # -- encoding ----------------------------------------------------------------
     def _encode_component_reaction(self, reaction, own_signals: Iterable[str]) -> BDD:
@@ -358,13 +373,12 @@ class SymbolicProductChecker:
         return step.rename(renaming)
 
     def reachable_states(self, max_iterations: int = 10_000) -> BDD:
-        reached = self._initial
-        for _ in range(max_iterations):
-            extended = reached | self.image(reached)
-            if self.manager.equivalent(extended, reached):
-                return reached
-            reached = extended
-        raise RuntimeError("product reachability fixpoint did not converge")
+        """Least fixpoint of the joint image (computed once, then memoized)."""
+        if self._reachable is None:
+            self._reachable = _image_fixpoint(
+                self.manager, self._initial, self.image, max_iterations, "product reachability"
+            )
+        return self._reachable
 
     def reachable_count(self) -> int:
         variables = [current_variable(register) for register in self._registers]

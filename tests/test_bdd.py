@@ -372,3 +372,192 @@ class TestSatisfyAllEdgeCases:
         function = edge_manager.var("a") & edge_manager.var("b")
         with pytest.raises(ValueError):
             edge_manager.satisfy_matrix(function, ["a"])
+
+
+# ---------------------------------------------------------------------------
+# one-pass kernel operations against their definitions, on every backend
+# ---------------------------------------------------------------------------
+
+#: the property variables, then four more declared below them (rename targets)
+_KERNEL_VARIABLES = _PROPERTY_VARIABLES + ("e", "f", "g", "h")
+
+#: names the kernel operations may be handed: declared ones, plus one unknown
+_KERNEL_NAMES = _KERNEL_VARIABLES + ("zz",)
+
+
+def _shannon_quantify(node, names, combine):
+    """The definition: one Shannon expansion through ``restrict`` per variable."""
+    manager = node.manager
+    for name in names:
+        if manager.has_variable(name):
+            node = combine(node.restrict({name: False}), node.restrict({name: True}))
+    return node
+
+
+def _sequential_substitution(node, renaming):
+    """The definition of ``rename``: substitute each source in turn by its target."""
+    manager = node.manager
+    for source, target in renaming.items():
+        if manager.has_variable(source):
+            variable = manager.var(target)
+            node = (variable & node.restrict({source: True})) | (
+                ~variable & node.restrict({source: False})
+            )
+    return node
+
+
+def _matrix_or_error(compute):
+    try:
+        return compute()
+    except ValueError:
+        return ValueError
+
+
+_kernel_subsets = st.lists(st.sampled_from(_KERNEL_NAMES), unique=True, max_size=6)
+
+
+class TestKernelOperationsAgainstDefinitions:
+    """Quantification, renaming and cofactor enumeration equal their definitions."""
+
+    @pytest.fixture(params=available_backends())
+    def kernel(self, request):
+        return create_manager(_KERNEL_VARIABLES, backend=request.param)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @given(program=_programs, names=_kernel_subsets)
+    @settings(max_examples=40, deadline=None)
+    def test_exists_and_forall_equal_the_shannon_expansion(self, backend, program, names):
+        manager = create_manager(_KERNEL_VARIABLES, backend=backend)
+        function = _build(manager, program)
+        assert manager.exists(function, names) == _shannon_quantify(
+            function, names, lambda low, high: low | high
+        )
+        assert manager.forall(function, names) == _shannon_quantify(
+            function, names, lambda low, high: low & high
+        )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @given(
+        program=_programs,
+        renaming=st.dictionaries(
+            st.sampled_from(_KERNEL_NAMES),
+            st.sampled_from(_KERNEL_NAMES + ("fresh",)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rename_equals_sequential_substitution(self, backend, program, renaming):
+        manager = create_manager(_KERNEL_VARIABLES, backend=backend)
+        function = _build(manager, program)
+        renamed = manager.rename(function, renaming)
+        assert renamed == _sequential_substitution(function, renaming)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @given(program=_programs)
+    @settings(max_examples=30, deadline=None)
+    def test_order_preserving_rename_relabels(self, backend, program):
+        manager = create_manager(_KERNEL_VARIABLES, backend=backend)
+        function = _build(manager, program)
+        renaming = {"a": "e", "b": "f", "c": "g", "d": "h"}
+        renamed = manager.rename(function, renaming)
+        assert renamed == _sequential_substitution(function, renaming)
+        assert renamed.node_count() == function.node_count()
+        back = {target: source for source, target in renaming.items()}
+        assert manager.rename(renamed, back) == function
+
+    def test_rename_takes_compose_only_when_the_relabelling_is_unsound(
+        self, kernel, monkeypatch
+    ):
+        composed = []
+        original = type(kernel).compose
+
+        def counting(manager, node, substitution):
+            composed.append(dict(substitution))
+            return original(manager, node, substitution)
+
+        monkeypatch.setattr(type(kernel), "compose", counting)
+        a, b, c = kernel.var("a"), kernel.var("b"), kernel.var("c")
+        e, f = kernel.var("e"), kernel.var("f")
+        # order-preserving onto variables outside the support: one relabelling walk
+        assert (a & ~b).rename({"a": "e", "b": "f"}) == (e & ~f)
+        assert (a & c).rename({"a": "b"}) == (b & c)
+        assert composed == []
+        function = (a & ~b) | c
+        # a target already in the support: the substitution meaning, via compose
+        assert function.rename({"a": "c"}) == (c & ~b) | c
+        # an order inversion and a chain a -> e -> f: compose as well
+        assert function.rename({"a": "f", "b": "e"}) == (f & ~e) | c
+        assert (a & ~b).rename({"a": "e", "e": "f"}) == (f & ~b)
+        # a chain whose relabelling would be order-preserving: a -> b -> c
+        assert a.rename({"a": "b", "b": "c"}) == c
+        # two sources onto one target
+        assert (a & ~b).rename({"a": "e", "b": "e"}).is_false()
+        assert len(composed) == 5
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @given(
+        program=_programs,
+        fixed=st.dictionaries(st.sampled_from(_KERNEL_NAMES), st.booleans(), max_size=5),
+        columns=st.lists(
+            st.sampled_from(_KERNEL_NAMES + ("unknown",)), unique=True, max_size=9
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cofactor_matrix_equals_restrict_then_satisfy_matrix(
+        self, backend, program, fixed, columns
+    ):
+        manager = create_manager(_KERNEL_VARIABLES, backend=backend)
+        function = _build(manager, program)
+        cofactor = manager.restrict(function, fixed)
+        expected = _matrix_or_error(lambda: manager.satisfy_matrix(cofactor, columns))
+        actual = _matrix_or_error(lambda: manager.cofactor_matrix(function, fixed, columns))
+        assert actual == expected
+        if expected is not ValueError:
+            # and the rows are the satisfy_all walk, decoded positionally
+            assert expected == [
+                [row[name] for name in columns] for row in cofactor.satisfy_all(columns)
+            ]
+
+    def test_cofactor_matrix_edge_cases(self, kernel):
+        a, b, c = kernel.var("a"), kernel.var("b"), kernel.var("c")
+        function = (a & b) | (~a & c)
+        columns = ["c", "b"]
+        # empty fixed: the plain satisfy_matrix
+        assert kernel.cofactor_matrix(function, {}, ["a", "b", "c"]) == kernel.satisfy_matrix(
+            function, ["a", "b", "c"]
+        )
+        # fixed names the manager never declared are ignored, as by restrict
+        assert kernel.cofactor_matrix(function, {"a": True, "nope": False}, columns) == [
+            [False, True],
+            [True, True],
+        ]
+        # a fixed variable listed as a column is a don't-care of the cofactor
+        assert kernel.cofactor_matrix(function, {"a": False}, ["a", "c"]) == [
+            [False, True],
+            [True, True],
+        ]
+        # terminal roots: the full cube and nothing
+        assert kernel.cofactor_matrix(kernel.true, {"a": True}, ["b", "c"]) == [
+            [False, False],
+            [False, True],
+            [True, False],
+            [True, True],
+        ]
+        assert kernel.cofactor_matrix(kernel.false, {"a": True}, ["b"]) == []
+        # a cofactor that is FALSE enumerates nothing
+        assert kernel.cofactor_matrix(a & b, {"a": False}, ["b"]) == []
+        # the columns must cover the cofactor's support, not the function's
+        assert kernel.cofactor_matrix(function, {"a": True}, ["b"]) == [[True]]
+        with pytest.raises(ValueError):
+            kernel.cofactor_matrix(function, {"a": False}, ["b"])
+        with pytest.raises(ValueError):
+            kernel.cofactor_matrix(function, {}, ["a", "b"])
+
+    def test_cofactor_matrix_creates_no_node_on_the_reference_kernel(self):
+        manager = create_manager(_KERNEL_VARIABLES, backend="reference")
+        a, b, c, d = (manager.var(name) for name in "abcd")
+        function = (a & (b ^ c)) | (~a & (c | d))
+        before = manager.size()
+        for value in (False, True):
+            manager.cofactor_matrix(function, {"a": value}, ["b", "c", "d"])
+        assert manager.size() == before

@@ -42,7 +42,8 @@ from repro.mc.compiled import (
     compilation_obstacles,
 )
 from repro.mc.onthefly import OnTheFlyChecker, ProductLTS
-from repro.mc.transition import build_lts
+from repro.mc.symbolic import current_variable, event_variable, next_variable, value_variable
+from repro.mc.transition import CANONICAL_NUMERIC_VALUE, build_lts
 from repro.mocc.reactions import Reaction
 from repro.semantics import interpreter
 from repro.service.store import ArtifactStore
@@ -350,6 +351,85 @@ def test_generated_processes_stay_under_the_sift_threshold(sift_calls):
                 assert nodes <= SIFT_THRESHOLD, (generated.name, process.name, nodes)
     assert len(seen) > 200
     assert sift_calls == []
+
+
+def _compilable_sample_processes(seeds=range(12)):
+    """The distinct compilable processes of some generated designs."""
+    processes, seen = [], set()
+    for seed in seeds:
+        generated = sample_design(seed)
+        for process in (*generated.components, generated.composition):
+            key = (process_digest(process), process.all_signals())
+            if key not in seen and not compilation_obstacles(process):
+                seen.add(key)
+                processes.append(process)
+    return processes
+
+
+def _reachable_states(abstraction):
+    initial = abstraction.initial_state()
+    order, seen = [initial], {initial}
+    for state in order:
+        for _reaction, successor in abstraction.reactions(state):
+            if successor not in seen:
+                seen.add(successor)
+                order.append(successor)
+    return order
+
+
+def _restrict_then_enumerate(abstraction, state):
+    """The definition of ``reactions``: cofactor by ``state``, then enumerate."""
+    process = abstraction.process
+    signals = process.all_signals()
+    boolean = set(process.boolean_signals())
+    registers = [register for register, _value in state]
+    columns = (
+        [event_variable(name) for name in signals]
+        + [value_variable(name) for name in signals if name in boolean]
+        + [next_variable(register) for register in registers]
+    )
+    cofactor = abstraction.step.restrict(
+        {current_variable(register): bool(value) for register, value in state}
+    )
+    results = []
+    for row in cofactor.satisfy_matrix(columns):
+        value = dict(zip(columns, row))
+        events = {
+            name: value[value_variable(name)] if name in boolean else CANONICAL_NUMERIC_VALUE
+            for name in signals
+            if value[event_variable(name)]
+        }
+        successor = tuple((register, value[next_variable(register)]) for register in registers)
+        results.append((Reaction(signals, events), successor))
+    return results
+
+
+_ENUMERATION_SUBJECTS = [
+    *(_shift_stage(0, bits) for bits in SHIFT_WIDTHS),
+    *_compilable_sample_processes(),
+]
+
+
+@pytest.mark.parametrize(
+    "process", _ENUMERATION_SUBJECTS, ids=lambda process: process.name
+)
+def test_reactions_equal_restrict_then_satisfy_matrix(process):
+    """Same rows, same order as the cofactor's enumeration, on every reachable state."""
+    abstraction = CompiledAbstraction(process)
+    states = _reachable_states(abstraction)
+    for state in states:
+        assert abstraction.reactions(state) == _restrict_then_enumerate(abstraction, state)
+
+
+@pytest.mark.parametrize(
+    "process", _ENUMERATION_SUBJECTS, ids=lambda process: process.name
+)
+def test_exploration_leaves_the_relation_manager_as_compiled(process):
+    """Bounded memory: enumerating every state's reactions interns no node."""
+    abstraction = CompiledAbstraction(process, backend="reference")
+    nodes = abstraction.manager.size()
+    assert len(_reachable_states(abstraction)) >= 1
+    assert abstraction.manager.size() == nodes
 
 
 def test_format_1_store_artifact_is_recompiled(tmp_path):

@@ -27,12 +27,14 @@ from repro.library.generators import (
 )
 from repro.library.producer_consumer import normalized_suite
 from repro.mc import (
+    ExplicitStateChecker,
     LazyReactionLTS,
     OnTheFlyChecker,
     ProductLTS,
     SymbolicProductChecker,
     build_lts,
 )
+from repro.mocc.reactions import Reaction
 from repro.properties.nonblocking import verify_non_blocking
 from repro.properties.weak_endochrony import check_weak_endochrony
 
@@ -41,6 +43,16 @@ MAX_STATES = 2048
 
 def _transition_set(lts):
     return {(t.source, t.reaction, t.target) for t in lts.transitions}
+
+
+def _counting(method, calls):
+    """``method``, recording each call in ``calls``."""
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return method(*args, **kwargs)
+
+    return counted
 
 _GENERATORS = {
     "pipeline": pipeline_network,
@@ -151,6 +163,37 @@ class TestLazyEagerEquivalence:
         assert checker.reachable_count() == eager.state_count()
         assert checker.is_non_blocking().holds
 
+    def test_symbolic_product_runs_the_reachability_fixpoint_once(self):
+        components, _composition = chain_of_buffers(3)
+        reference = SymbolicProductChecker([build_lts(c) for c in components])
+        iterations = []
+        reference.image = _counting(reference.image, iterations)
+        reference.reachable_states()
+        checker = SymbolicProductChecker([build_lts(c) for c in components])
+        images = []
+        checker.image = _counting(checker.image, images)
+        assert checker.reachable_count() == 36
+        assert checker.is_non_blocking().holds
+        assert checker.bdd_nodes() > 0
+        assert checker.reachable_states() is checker.reachable_states()
+        assert len(images) == len(iterations) > 1
+
+    def test_symbolic_verdict_costs_are_unchanged_by_the_memo(self):
+        components, _composition = chain_of_buffers(3)
+        verdict = Design(name="buffers_3", components=list(components)).verify(
+            "non-blocking", "symbolic"
+        )
+        # the figures the unmemoized checker reported, byte for byte
+        assert verdict.holds
+        assert verdict.cost.bdd_nodes == 968
+        assert [(d.name, d.holds, d.detail) for d in verdict.diagnostics] == [
+            (
+                "no reachable deadlock state (Definition 4, product relation)",
+                True,
+                "36 reachable states (BDD)",
+            )
+        ]
+
 
 class TestOnTheFlyChecker:
     def test_single_component_lazy_matches_eager(self):
@@ -201,6 +244,29 @@ class TestOnTheFlyChecker:
                 [build_lts(producer), build_lts(buffer)],
                 components=[producer, buffer],
             )
+
+    def test_successor_index_keeps_the_first_match(self):
+        first, second = (("m", False),), (("m", True),)
+        event = Reaction(("x",), {"x": True})
+        silent = Reaction(("x",))
+
+        class Stub:
+            process_name = "stub"
+            initial = first
+
+            def successors(self, state):
+                return ((event, second), (silent, first), (event, first))
+
+        engine = OnTheFlyChecker(Stub())
+        assert engine.successor(first, event) == second
+        assert engine.enables(first, silent)
+        assert not engine.enables(first, Reaction(("x",), {"x": False}))
+        assert engine.reactions_from(first) == (event, silent, event)
+        assert engine.non_silent_reactions_from(first) == (event, event)
+        explicit = ExplicitStateChecker(engine.materialize())
+        assert explicit.successor(first, event) == second
+        assert explicit.enables(first, silent)
+        assert explicit.successor((("n", True),), event) is None
 
     def test_statistics_keys(self):
         components, _composition = pipeline_network(2)
