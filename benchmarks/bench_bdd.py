@@ -27,6 +27,7 @@ Run with:  pytest benchmarks/bench_bdd.py --benchmark-only
 
 from __future__ import annotations
 
+import gc
 import time
 
 from _record import recorder
@@ -39,6 +40,8 @@ RECORD = recorder("bdd")
 
 #: required advantage on the kernel-dominated bulk-enumeration scenario
 ENUMERATION_SPEEDUP = 5.0
+#: timed calls per kernel in that scenario (the fastest one counts)
+ENUMERATION_REPEATS = 5
 #: required advantage on the adversarial apply (every request a fresh node)
 APPLY_SPEEDUP = 1.3
 
@@ -62,6 +65,27 @@ def _timed(function, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
+def _best_of(repeats, function, *args):
+    """The last result and the fastest of ``repeats`` calls, each timed with GC off.
+
+    A generational collection landing inside a millisecond-scale window
+    (left behind by whatever ran earlier in the process) can cost more than
+    the call itself; the collector is restored after every call.
+    """
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result, seconds = _timed(function, *args)
+        finally:
+            if enabled:
+                gc.enable()
+        best = min(best, seconds)
+    return result, best
+
+
 # ---------------------------------------------------------------------------
 # 1. bulk enumeration: the ≥5× kernel-dominated gate
 # ---------------------------------------------------------------------------
@@ -79,8 +103,8 @@ def test_satisfy_matrix_is_5x_faster_on_the_array_kernel():
     rows = {}
     for backend in available_backends():
         manager, (root,) = load_manager(payload, backend=backend)
-        rows[backend], seconds[backend] = _timed(
-            manager.satisfy_matrix, root, variables
+        rows[backend], seconds[backend] = _best_of(
+            ENUMERATION_REPEATS, manager.satisfy_matrix, root, variables
         )
         RECORD.record(
             f"satisfy_matrix pipeline_12 {backend}",

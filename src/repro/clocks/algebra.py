@@ -225,22 +225,28 @@ class ClockAlgebra:
         ``None`` when the touched factors rule the cube out.
         """
         path: Dict[str, bool] = dict(cube)
-        dead: Set[int] = set()
+        dead: Set[int] = {BDDManager.FALSE_INDEX}
+        relation = self._relevant_relation(cube)
+        manager = relation.manager
+        level, low, high, name_of = (
+            manager.node_level, manager.node_low, manager.node_high, manager.level_name
+        )
 
-        def descend(node: BDD) -> bool:
-            if node.is_true():
+        def descend(index: int) -> bool:
+            # raw node indices: the walk allocates no BDD handle per step
+            if index == BDDManager.TRUE_INDEX:
                 return True
-            if node.is_false() or node.index in dead:
+            if index in dead:
                 return False
-            name = node.variable
+            name = name_of(level(index))
             for value in (cube[name],) if name in cube else (True, False):
-                if descend(node.high if value else node.low):
+                if descend(high(index) if value else low(index)):
                     path[name] = value
                     return True
-            dead.add(node.index)
+            dead.add(index)
             return False
 
-        return path if descend(self._relevant_relation(cube)) else None
+        return path if descend(relation.index) else None
 
     def entails_equal(self, left: ClockExpressionSyntax, right: ClockExpressionSyntax) -> bool:
         """``R |= left = right``."""

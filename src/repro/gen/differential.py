@@ -333,6 +333,10 @@ class _ShrinkTimeout(Exception):
     """A candidate blew its verification budget during shrinking."""
 
 
+#: interval of the repeated alarm once a candidate's budget is spent
+_REARM_SECONDS = 0.05
+
+
 @contextmanager
 def _time_limit(seconds: Optional[float]) -> Iterator[None]:
     """Abort the block with :class:`_ShrinkTimeout` after ``seconds``.
@@ -341,7 +345,11 @@ def _time_limit(seconds: Optional[float]) -> Iterator[None]:
     enumeration explodes (an unconstrained signal multiplies every state's
     successor set), so candidate checks need a wall-clock budget, not just
     a state bound.  SIGALRM-based: active only on platforms that have it
-    and in the main thread; elsewhere the block runs unbounded.
+    and in the main thread; elsewhere the block runs unbounded.  Once the
+    budget is spent the alarm repeats every :data:`_REARM_SECONDS` until the
+    block exits: Python drops an exception raised while a garbage-collector
+    callback or a finalizer runs ("Exception ignored in ..."), and a
+    one-shot alarm landing there would leave the candidate unbounded.
     """
     usable = (
         seconds is not None
@@ -352,14 +360,19 @@ def _time_limit(seconds: Optional[float]) -> Iterator[None]:
         yield
         return
 
+    armed = True
+
     def _raise(signum, frame):  # pragma: no cover - timing dependent
-        raise _ShrinkTimeout()
+        if armed:
+            raise _ShrinkTimeout()
 
     previous = _signal.signal(_signal.SIGALRM, _raise)
-    _signal.setitimer(_signal.ITIMER_REAL, float(seconds))
+    _signal.setitimer(_signal.ITIMER_REAL, float(seconds), _REARM_SECONDS)
     try:
         yield
     finally:
+        # first, so a repeat landing during this clean-up cannot escape it
+        armed = False
         _signal.setitimer(_signal.ITIMER_REAL, 0.0)
         _signal.signal(_signal.SIGALRM, previous)
 

@@ -25,7 +25,7 @@ state instead of forcing the full product first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.mc.explicit import ExplicitStateChecker, InvariantResult
 from repro.mc.transition import ReactionLTS, State
@@ -90,23 +90,41 @@ def check_order_independent(
     return InvariantResult(name, True)
 
 
+def _producible(checker: ExplicitStateChecker, state: State, cache: Dict[State, FrozenSet[str]]):
+    """The signals present in at least one reaction from ``state`` (memoized in ``cache``)."""
+    signals = cache.get(state)
+    if signals is None:
+        signals = frozenset().union(
+            *(reaction.present_signals() for reaction in checker.reactions_from(state))
+        )
+        cache[state] = signals
+    return signals
+
+
 def check_flow_independent(
     lts: Optional[ReactionLTS],
     x: str,
     y: str,
     z: str,
     checker=None,
+    producible: Optional[Dict[State, FrozenSet[str]]] = None,
 ) -> InvariantResult:
-    """Property (3) of Section 4.1 for the triple ``(x, y, z)``."""
+    """Property (3) of Section 4.1 for the triple ``(x, y, z)``.
+
+    ``producible`` memoizes, per state, the signals some reaction from it
+    produces; :func:`check_weak_endochrony_invariants` shares one such dict
+    across all its triples.  It is only filled for states whose reactions
+    the check reads anyway, so an on-the-fly checker expands no extra state.
+    """
     name = f"FlowIndependent({x}, {y}, {z})"
     checker = checker or ExplicitStateChecker(lts)
+    producible = {} if producible is None else producible
     for state in checker.iter_states():
         x_alone = _reactions_with(checker, state, x, y)
         y_alone = _reactions_with(checker, state, y, x)
         if not (x_alone and y_alone):
             continue
-        z_now = any(z in reaction.present_signals() for reaction in checker.reactions_from(state))
-        if not z_now:
+        if z not in _producible(checker, state, producible):
             continue
         # z must remain producible whichever of x or y is performed first
         for first in x_alone + y_alone:
@@ -115,10 +133,7 @@ def check_flow_independent(
                 continue
             if z in first.present_signals():
                 continue
-            z_later = any(
-                z in reaction.present_signals() for reaction in checker.reactions_from(successor)
-            )
-            if not z_later:
+            if z not in _producible(checker, successor, producible):
                 return InvariantResult(
                     name,
                     False,
@@ -192,6 +207,7 @@ def check_weak_endochrony_invariants(
         report.results.append(result)
         return stop_at_first_failure and not result.holds
 
+    producible: Dict[State, FrozenSet[str]] = {}
     representatives = [signals[0] for signals in root_signals if signals]
     for index, x in enumerate(representatives):
         for y in representatives[index + 1 :]:
@@ -203,6 +219,6 @@ def check_weak_endochrony_invariants(
             for z in flow_signals:
                 if z in (x, y):
                     continue
-                if record(check_flow_independent(lts, x, y, z, checker)):
+                if record(check_flow_independent(lts, x, y, z, checker, producible)):
                     return finalize()
     return finalize()

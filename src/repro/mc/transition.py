@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.clocks.hierarchy import ClockHierarchy, build_hierarchy
-from repro.lang.normalize import DelayEquation, NormalizedProcess
+from repro.lang.normalize import NormalizedProcess
 from repro.mocc.interning import intern_state
 from repro.mocc.reactions import Reaction
 from repro.semantics.interpreter import ABSENT, TICK, SignalInterpreter
@@ -110,6 +110,11 @@ class BooleanAbstraction:
         )
         self._activation_points = self._compute_activation_points(extra_activation_signals)
         self._choices: Optional[Tuple[ReactionChoice, ...]] = None
+        self._choice_arguments: Optional[Tuple[Tuple[Dict, Dict], ...]] = None
+        #: every delay register at its initial value (numeric registers stay there)
+        self._registers = {
+            equation.target: equation.initial for equation in self.interpreter.plan.delays
+        }
 
     # -- activation points ----------------------------------------------------
     def _compute_activation_points(self, extra: Iterable[str]) -> Tuple[Tuple[str, Tuple], ...]:
@@ -137,21 +142,13 @@ class BooleanAbstraction:
 
     # -- states -----------------------------------------------------------------
     def initial_state(self) -> State:
-        registers = {
-            equation.target: equation.initial
-            for equation in self.process.equations
-            if isinstance(equation, DelayEquation)
-        }
+        registers = self._registers
         return intern_state(tuple((name, registers[name]) for name in self._state_signals))
 
     def _full_state(self, abstract: State) -> Dict[str, object]:
         """Concrete interpreter state for an abstract state (numeric registers canonical)."""
-        registers = {
-            equation.target: equation.initial
-            for equation in self.process.equations
-            if isinstance(equation, DelayEquation)
-        }
-        registers.update(dict(abstract))
+        registers = dict(self._registers)
+        registers.update(abstract)
         return registers
 
     def _abstract_state(self, concrete: Mapping[str, object]) -> State:
@@ -174,15 +171,22 @@ class BooleanAbstraction:
             )
         return list(self._choices)
 
+    def _arguments(self) -> Tuple[Tuple[Dict, Dict], ...]:
+        """Each choice's ``(inputs, assumptions)`` dicts, built once (never mutated)."""
+        if self._choice_arguments is None:
+            self._choice_arguments = tuple(
+                (choice.as_inputs(), choice.as_assumptions()) for choice in self.enumerate_choices()
+            )
+        return self._choice_arguments
+
     def reactions(self, state: State) -> List[Tuple[Reaction, State]]:
         """The feasible reactions from ``state`` with their successor states."""
         results: List[Tuple[Reaction, State]] = []
         seen: Set[Reaction] = set()
-        for choice in self.enumerate_choices():
-            self.interpreter.restore_state(self._full_state(state))
-            outcome = self.interpreter.try_step(
-                inputs=choice.as_inputs(), assume=choice.as_assumptions(), commit=True
-            )
+        registers = self._full_state(state)
+        for inputs, assumptions in self._arguments():
+            self.interpreter.restore_state(registers)
+            outcome = self.interpreter.try_step(inputs=inputs, assume=assumptions, commit=True)
             if outcome is None:
                 continue
             reaction = self._project_reaction(outcome.reaction)

@@ -1,5 +1,8 @@
 """The differential harness: agreement contracts, the big matrix, shrinking."""
 
+import signal
+import time
+
 import pytest
 
 from repro.gen.differential import (
@@ -11,6 +14,8 @@ from repro.gen.differential import (
     run_design,
     run_matrix,
     shrink,
+    _ShrinkTimeout,
+    _time_limit,
 )
 from repro.gen.topologies import sample_design
 
@@ -117,6 +122,28 @@ class TestShrinking:
         original_equations = sum(len(c.equations) for c in generated.components)
         assert total_equations < original_equations
         assert result.sources()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_time_limit_outlasts_a_swallowed_alarm(self):
+        # an alarm landing in a gc callback or finalizer is dropped by
+        # Python; the budget must still end the block
+        swallowed = 0
+        deadline = time.monotonic() + 2.0
+        with pytest.raises(_ShrinkTimeout):
+            with _time_limit(0.05):
+                while time.monotonic() < deadline:
+                    try:
+                        while time.monotonic() < deadline:
+                            pass
+                    except _ShrinkTimeout:
+                        swallowed += 1
+                        if swallowed > 1:
+                            raise
+        assert swallowed == 2
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        settle = time.monotonic() + 0.2
+        while time.monotonic() < settle:  # no repeat escapes the block
+            pass
 
     def test_shrink_never_returns_an_empty_design(self):
         generated = sample_design(0)
